@@ -16,7 +16,6 @@ from .analytic import (
     mg1_priority_sojourn,
     mg1_priority_sojourn_slotted,
     mg2_priority_sojourn,
-    mg2_priority_sojourn_printed,
     residual_cdf,
 )
 from .sim import ClassStats, Packet, SojournSummary, SweepPoint, Topology, run, sweep
@@ -31,7 +30,6 @@ from .traffic import (
     long_service_moments,
     parse_scenario,
     region_probabilities,
-    sample_long_service,
     sample_long_services,
     short_service_moments,
     solve_arrival_rates,
@@ -54,7 +52,6 @@ __all__ = [
     "short_service_moments",
     "utilization",
     "solve_arrival_rates",
-    "sample_long_service",
     "sample_long_services",
     "SojournPrediction",
     "ResidualModel",
@@ -62,7 +59,6 @@ __all__ = [
     "mg1_priority_sojourn",
     "mg1_priority_sojourn_slotted",
     "mg2_priority_sojourn",
-    "mg2_priority_sojourn_printed",
     "kimura_wait",
     "residual_cdf",
     "cycle_time_stats",

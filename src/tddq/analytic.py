@@ -31,7 +31,6 @@ __all__ = [
     "mg1_priority_sojourn_slotted",
     "kimura_wait",
     "mg2_priority_sojourn",
-    "mg2_priority_sojourn_printed",
     "residual_cdf",
     "cycle_time_stats",
 ]
@@ -169,31 +168,6 @@ def mg2_priority_sojourn(config: TrafficConfig) -> SojournPrediction:
     return SojournPrediction(
         wait_short=wait_fcfs * (1.0 - rho) / (1.0 - rho_s),
         wait_long=wait_fcfs / (1.0 - rho_s),
-        service_short=e_s,
-        service_long=e_l,
-        alignment=e_s / 2.0,
-    )
-
-
-def mg2_priority_sojourn_printed(config: TrafficConfig) -> SojournPrediction:
-    """Diagnostic variant of the two-server approximation.
-
-    Normalizes the aggregate-load factor by the squared total load and the
-    long-class service rate instead of the mixture rate:
-    wait = num/denom^2 * rho^(sqrt(6)-1) * E[S_L] / (4 (1-rho_S)) for the
-    short class (long class divides by (1-rho) as well). Exceeds
-    :func:`mg2_priority_sojourn` by exactly E[S_L]/rho; kept for comparison
-    only, not used by the CLI or the acceptance checks.
-    """
-    e_s, e_s2, e_l, e_l2, rho, rho_s = _moments(config)
-    if config.lambda_short + config.lambda_long == 0.0:
-        return SojournPrediction(0.0, 0.0, e_s, e_l, e_s / 2.0)
-    num = config.lambda_long * e_l2 + config.lambda_short * e_s2
-    denom = config.lambda_long * e_l + config.lambda_short * e_s
-    factor = num / denom**2 * rho ** (math.sqrt(6.0) - 1.0) * e_l / 4.0
-    return SojournPrediction(
-        wait_short=factor / (1.0 - rho_s),
-        wait_long=factor / ((1.0 - rho) * (1.0 - rho_s)),
         service_short=e_s,
         service_long=e_l,
         alignment=e_s / 2.0,

@@ -20,7 +20,7 @@ import csv
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,41 +46,13 @@ from .traffic import (
 )
 
 __all__ = [
-    "ExperimentSpec",
     "cmd_sojourn_sweep",
     "cmd_residual_cdf",
     "cmd_cycle_time",
     "cmd_validate",
+    "worst_normalization_error",
     "main",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Resolved parameters of one CLI experiment."""
-
-    experiment: str
-    scenario: Scenario
-    out: str
-    seed: int
-    rho_list: tuple[float, ...] = ()
-    horizon: int = 200_000
-    warmup: int | None = None
-    n_samples: int = 100_000
-    family: str = "exponential"
-    rate: float = 1.0
-    s_long: float = 10.0
-    s_short: float = 1.0
-    t_proc: float = 2.0
-    grid_step: float = 0.1
-    empirical_samples: tuple[float, ...] = ()
-    mm1_tol: float = 0.02
-    little_tol: float = 0.01
-
-    def __post_init__(self) -> None:
-        for rho in self.rho_list:
-            if not (0.0 < rho < 1.0):
-                raise ValueError(f"rho values must lie in (0, 1), got {rho}")
 
 
 def _fmt(x) -> str:
@@ -99,35 +71,55 @@ def _open_out(path: str):
     return open(path, "w", newline="", encoding="utf-8")
 
 
-def _residual_model(spec: ExperimentSpec) -> ResidualModel:
-    if spec.family == "exponential":
-        return ResidualModel.exponential(spec.rate, spec.s_long)
-    if spec.family == "truncated-exponential":
-        return ResidualModel.truncated_exponential(spec.rate, spec.s_long)
-    if spec.family == "uniform":
-        return ResidualModel.uniform(spec.s_long)
-    if spec.family == "empirical":
-        return ResidualModel.empirical(spec.empirical_samples, spec.s_long)
-    raise ValueError(f"unknown residual family {spec.family!r}")
+def _residual_model(args: argparse.Namespace) -> ResidualModel:
+    samples = tuple(float(v) for v in args.empirical_samples.split(",") if v.strip())
+    if args.family == "exponential":
+        return ResidualModel.exponential(args.rate, args.s_long)
+    if args.family == "truncated-exponential":
+        return ResidualModel.truncated_exponential(args.rate, args.s_long)
+    if args.family == "uniform":
+        return ResidualModel.uniform(args.s_long)
+    if args.family == "empirical":
+        return ResidualModel.empirical(samples, args.s_long)
+    raise ValueError(f"unknown residual family {args.family!r}")
 
 
-def cmd_sojourn_sweep(spec: ExperimentSpec) -> int:
+def _scenario(args: argparse.Namespace, strict_rho: bool) -> Scenario:
+    """The --config scenario (or the built-in one) with --rho applied.
+
+    `strict_rho=False` keeps out-of-range load points so that `validate` can
+    report them as a failed check instead of rejecting the input.
+    """
+    scenario = (load_scenario(args.config, strict_rho=strict_rho)
+                if args.config else default_scenario())
+    if args.rho is None:
+        return scenario
+    rho_list = tuple(float(v) for v in args.rho.split(",") if v.strip())
+    if strict_rho:
+        for rho in rho_list:
+            if not (0.0 < rho < 1.0):
+                raise ValueError(f"rho values must lie in (0, 1), got {rho}")
+    return replace(scenario, rho_list=rho_list)
+
+
+def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
     """Sweep utilization; one row per (rho, topology, class)."""
+    scenario = _scenario(args, strict_rho=True)
     header = ["rho", "class", "topology", "count", "analytic_mean",
               "sim_mean", "sim_ci95", "rel_err", "error"]
     results = {
-        topo: sweep(spec.scenario, topo, spec.rho_list, spec.horizon,
-                    spec.warmup, seed_base=spec.seed)
+        topo: sweep(scenario, topo, scenario.rho_list, args.horizon,
+                    args.warmup, seed_base=args.seed)
         for topo in (Topology.COUPLED, Topology.DECOUPLED)
     }
-    with _open_out(spec.out) as fh:
+    with _open_out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i, rho in enumerate(spec.rho_list):
+        for i, rho in enumerate(scenario.rho_list):
             for topo in (Topology.COUPLED, Topology.DECOUPLED):
                 point = results[topo][i]
                 try:
-                    config = spec.scenario.config_for(rho)
+                    config = scenario.config_for(rho)
                     predict = (mg1_priority_sojourn if topo is Topology.COUPLED
                                else mg2_priority_sojourn)(config)
                     analytic = {"short": predict.mean_short, "long": predict.mean_long}
@@ -151,15 +143,19 @@ def cmd_sojourn_sweep(spec: ExperimentSpec) -> int:
     return 0
 
 
-def cmd_residual_cdf(spec: ExperimentSpec) -> int:
+def cmd_residual_cdf(args: argparse.Namespace) -> int:
     """Residual-time CDF on a y grid over (0, S_L), closed form and empirical."""
-    model = _residual_model(spec)
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n_samples
+    n = args.samples
+    if n < 1:
+        raise ValueError(f"--samples must be >= 1, got {n}")
+    if not args.grid_step > 0:
+        raise ValueError(f"--grid-step must be > 0, got {args.grid_step}")
+    model = _residual_model(args)
+    rng = np.random.default_rng(args.seed)
     emp_coupled = np.sort(model.sample(rng, n))
     emp_decoupled = np.sort(model.sample(rng, (n, 2)).min(axis=1))
-    grid = np.arange(0.0, spec.s_long + spec.grid_step / 2, spec.grid_step)
-    with _open_out(spec.out) as fh:
+    grid = np.arange(0.0, args.s_long + args.grid_step / 2, args.grid_step)
+    with _open_out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["y", "cdf_coupled", "cdf_decoupled",
                     "empirical_coupled", "empirical_decoupled"])
@@ -174,20 +170,20 @@ def cmd_residual_cdf(spec: ExperimentSpec) -> int:
     return 0
 
 
-def cmd_cycle_time(spec: ExperimentSpec) -> int:
+def cmd_cycle_time(args: argparse.Namespace) -> int:
     """Cycle-time mean and tail quantiles for both access modes."""
-    model = _residual_model(spec)
-    rng = np.random.default_rng(spec.seed)
+    model = _residual_model(args)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for topo in (Topology.COUPLED, Topology.DECOUPLED):
         cycle = CycleTimeModel(
-            s_short=spec.s_short, t_proc=spec.t_proc, residual=model,
+            s_short=args.s_short, t_proc=args.t_proc, residual=model,
             decoupled=topo is Topology.DECOUPLED,
         )
-        mean, samples = cycle_time_stats(cycle, spec.n_samples, rng)
+        mean, samples = cycle_time_stats(cycle, args.samples, rng)
         q = np.quantile(samples, [0.5, 0.9, 0.99, 0.999])
         rows.append([topo.value, mean, *map(float, q)])
-    with _open_out(spec.out) as fh:
+    with _open_out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["topology", "mean", "p50", "p90", "p99", "p999"])
         for row in rows:
@@ -195,7 +191,12 @@ def cmd_cycle_time(spec: ExperimentSpec) -> int:
     return 0
 
 
-def _check_normalization(rng: np.random.Generator) -> tuple[bool, str]:
+def worst_normalization_error(rng: np.random.Generator) -> float:
+    """Largest |sum p - 1| of region_probabilities over 1000 random tables.
+
+    Each table has 1-6 regions with random thresholds, rates and mean SNR,
+    all drawn from `rng` in a fixed order.
+    """
     worst = 0.0
     for _ in range(1000):
         m = int(rng.integers(1, 7))
@@ -207,11 +208,10 @@ def _check_normalization(rng: np.random.Generator) -> tuple[bool, str]:
         )
         channel = ChannelModel(mean_snr=float(rng.uniform(0.05, 50.0)))
         worst = max(worst, abs(float(region_probabilities(channel, table).sum()) - 1.0))
-    return worst <= 1e-12, f"max |sum p - 1| = {worst:.3g}"
+    return worst
 
 
-def _check_stability(spec: ExperimentSpec) -> tuple[bool, str]:
-    s = spec.scenario
+def _check_stability(s: Scenario) -> tuple[bool, str]:
     for rho in s.rho_list:
         try:
             solve_arrival_rates(rho, s.lambda_ratio, s.channel, s.table, s.mu_short)
@@ -221,31 +221,30 @@ def _check_stability(spec: ExperimentSpec) -> tuple[bool, str]:
     return True, f"{len(s.rho_list)} load points stable"
 
 
-def _check_mm1(spec: ExperimentSpec) -> tuple[bool, str]:
+def _check_mm1(args: argparse.Namespace) -> tuple[bool, str]:
     table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(1.0,))
     config = TrafficConfig(
         lambda_short=0.5, lambda_long=0.0, mu_short=1.0,
         channel=ChannelModel(1.0), table=table,
     )
-    summary = run(config, Topology.COUPLED, spec.horizon, seed=spec.seed,
+    summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed,
                   slot_aligned=False, exponential_service=True)
     rel = abs(summary.short.mean - 2.0) / 2.0
-    return rel <= spec.mm1_tol, f"mean sojourn {summary.short.mean:.4f} vs 2.0 (rel {rel:.3%})"
+    return rel <= args.mm1_tol, f"mean sojourn {summary.short.mean:.4f} vs 2.0 (rel {rel:.3%})"
 
 
-def _check_conservation(spec: ExperimentSpec) -> tuple[bool, str]:
-    s = spec.scenario
+def _check_conservation(s: Scenario, args: argparse.Namespace) -> tuple[bool, str]:
     rho = 0.7 if not s.rho_list else min(s.rho_list, key=lambda r: abs(r - 0.7))
     try:
         config = s.config_for(rho)
     except (SaturationError, ValueError) as exc:
         return False, f"rho={rho}: {exc}"
-    summary = run(config, Topology.COUPLED, spec.horizon, seed=spec.seed)
+    summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed)
     little = summary.little_residual
     busy_err = abs(summary.busy_fraction[0] - rho)
-    ok = little < spec.little_tol and busy_err <= 0.01
+    ok = little < args.little_tol and busy_err <= 0.01
     return ok, (f"rho={rho:g}: little residual {little:.4f} "
-                f"(tol {spec.little_tol:g}), |busy - rho| = {busy_err:.4f}")
+                f"(tol {args.little_tol:g}), |busy - rho| = {busy_err:.4f}")
 
 
 def _check_dominance() -> tuple[bool, str]:
@@ -268,14 +267,16 @@ def _check_dominance() -> tuple[bool, str]:
     return True, f"{len(families)} families dominate pointwise"
 
 
-def cmd_validate(spec: ExperimentSpec) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     """Run the oracle/invariant suite; exit 1 if any check fails."""
-    rng = np.random.default_rng(spec.seed)
+    scenario = _scenario(args, strict_rho=False)
+    worst_norm = worst_normalization_error(np.random.default_rng(args.seed))
     checks = [
-        ("region-prob-normalization", *_check_normalization(rng)),
-        ("load-points-stable", *_check_stability(spec)),
-        ("mm1-sanity", *_check_mm1(spec)),
-        ("littles-law-and-busy", *_check_conservation(spec)),
+        ("region-prob-normalization", worst_norm <= 1e-12,
+         f"max |sum p - 1| = {worst_norm:.3g}"),
+        ("load-points-stable", *_check_stability(scenario)),
+        ("mm1-sanity", *_check_mm1(args)),
+        ("littles-law-and-busy", *_check_conservation(scenario, args)),
         ("residual-dominance", *_check_dominance()),
     ]
     width = max(len(name) for name, _, _ in checks)
@@ -289,53 +290,15 @@ def cmd_validate(spec: ExperimentSpec) -> int:
     return 1 if failed else 0
 
 
-def _parse_rho_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if args.command == "validate":
-        # validate reports saturated load points as a failed check instead of
-        # rejecting the file outright
-        scenario = (load_scenario(args.config, strict_rho=False)
-                    if args.config else default_scenario())
-    else:
-        scenario = load_scenario(args.config) if args.config else default_scenario()
-    rho_list = scenario.rho_list
-    if getattr(args, "rho", None) is not None:
-        rho_list = _parse_rho_list(args.rho)
-    if args.command == "validate":
-        # the stability check inspects the scenario's load points directly
-        scenario = replace(scenario, rho_list=rho_list)
-        rho_list = ()
-    return ExperimentSpec(
-        experiment=args.command,
-        scenario=scenario,
-        out=getattr(args, "out", "-"),
-        seed=args.seed,
-        rho_list=rho_list,
-        horizon=args.horizon,
-        warmup=getattr(args, "warmup", None),
-        n_samples=getattr(args, "samples", 100_000),
-        family=getattr(args, "family", "exponential"),
-        rate=getattr(args, "rate", 1.0),
-        s_long=getattr(args, "s_long", 10.0),
-        s_short=getattr(args, "s_short", 1.0),
-        t_proc=getattr(args, "t_proc", 2.0),
-        grid_step=getattr(args, "grid_step", 0.1),
-        empirical_samples=tuple(
-            float(v) for v in getattr(args, "empirical_samples", "").split(",") if v.strip()
-        ),
-        mm1_tol=getattr(args, "mm1_tol", 0.02),
-        little_tol=getattr(args, "little_tol", 0.01),
-    )
-
-
-def _add_common(p: argparse.ArgumentParser, horizon: int = 200_000) -> None:
-    p.add_argument("--config", help="scenario file (key = value lines)")
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--horizon", type=int, default=horizon,
+
+
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="scenario file (key = value lines)")
+    p.add_argument("--rho", help="comma list overriding the scenario load points")
+    p.add_argument("--horizon", type=int, default=200_000,
                    help="departures per simulation run")
 
 
@@ -360,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sojourn-sweep", help="mean sojourn vs utilization")
     _add_common(p)
-    p.add_argument("--rho", help="comma list overriding the scenario load points")
+    _add_scenario_flags(p)
     p.add_argument("--warmup", type=int, default=None,
                    help="departures discarded (default 10%% of horizon)")
 
@@ -377,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="oracle/invariant self-check")
     _add_common(p)
-    p.add_argument("--rho", help="comma list overriding the scenario load points")
+    _add_scenario_flags(p)
     p.add_argument("--mm1-tol", dest="mm1_tol", type=float, default=0.02)
     p.add_argument("--little-tol", dest="little_tol", type=float, default=0.01)
 
@@ -395,8 +358,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = _build_spec(args)
-        return _COMMANDS[args.command](spec)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

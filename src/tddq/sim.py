@@ -63,12 +63,7 @@ class Topology(Enum):
 
 @dataclass(frozen=True)
 class Packet:
-    """One simulated packet (materialized only when requested).
-
-    `direction` is pure metadata (e.g. "ul"/"dl"): the flexible-TDD scheduler
-    serves whatever is at the head of line regardless of direction, so it has
-    no effect on any timing field; statistics may group by it.
-    """
+    """One simulated packet (materialized only when requested)."""
 
     kind: str  # "short" | "long"
     arrival_time: float
@@ -76,7 +71,6 @@ class Packet:
     start_time: float
     departure_time: float
     server: int
-    direction: str | None = None
 
     def __post_init__(self) -> None:
         if self.start_time < self.arrival_time:

@@ -10,7 +10,6 @@ event simulator) consumes the service moments and utilizations computed here.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "short_service_moments",
     "utilization",
     "solve_arrival_rates",
-    "sample_long_service",
     "sample_long_services",
     "parse_scenario",
     "load_scenario",
@@ -237,29 +235,14 @@ def solve_arrival_rates(
     return lam_s, ratio * lam_s
 
 
-def duration_for_snr(table: RateAdaptationTable, snr: float) -> float:
-    """TTI duration for one SNR draw (region lookup in the table)."""
-    i = bisect_left(table.inner_thresholds, snr)
-    return table.durations[i]
-
-
-def sample_long_service(
-    channel: ChannelModel, table: RateAdaptationTable, rng: np.random.Generator
-) -> float:
-    """Draw one long-packet service time.
-
-    Inverse-CDF exponential SNR draw from the passed stream, then the region
-    lookup; the stream is the only mutated state.
-    """
-    u = rng.random()
-    snr = -channel.mean_snr * math.log1p(-u)
-    return duration_for_snr(table, snr)
-
-
 def sample_long_services(
     channel: ChannelModel, table: RateAdaptationTable, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Vectorized counterpart of sample_long_service (same mapping math)."""
+    """Draw `n` long-packet service times.
+
+    Inverse-CDF exponential SNR draws from the passed stream, then the region
+    lookup in the table; the stream is the only mutated state.
+    """
     u = rng.random(n)
     snr = -channel.mean_snr * np.log1p(-u)
     idx = np.searchsorted(np.asarray(table.inner_thresholds), snr, side="left")

@@ -31,13 +31,12 @@ from tddq import (
     mg1_priority_sojourn,
     mg1_priority_sojourn_slotted,
     mg2_priority_sojourn,
-    region_probabilities,
     run,
     sweep,
     utilization,
 )
 from tddq.analytic import CycleTimeModel, ResidualModel, cycle_time_stats
-from tddq.cli import main as cli_main
+from tddq.cli import main as cli_main, worst_normalization_error
 
 RHO_SWEEP = (0.3, 0.5, 0.7, 0.8, 0.85)
 PK_POINTS = (0.3, 0.5, 0.7, 0.85)  # criterion 2
@@ -225,20 +224,7 @@ def test_criterion_7_conservation_suite(sweep_results):
                 # index tie-breaking skews per-server load; conservation is
                 # checked on the across-server mean
                 worst_busy = max(worst_busy, abs(s.mean_busy_fraction - rho))
-    rng = np.random.default_rng(SEED + 2)
-    worst_norm = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(1, 7))
-        inner = np.sort(rng.uniform(0.1, 50.0, size=m - 1))
-        rates = np.sort(rng.uniform(0.05, 5.0, size=m))
-        table = RateAdaptationTable(
-            thresholds=(0.0, *map(float, inner), math.inf),
-            rates=tuple(map(float, rates)),
-        )
-        channel = ChannelModel(float(rng.uniform(0.05, 50.0)))
-        worst_norm = max(
-            worst_norm, abs(float(region_probabilities(channel, table).sum()) - 1.0)
-        )
+    worst_norm = worst_normalization_error(np.random.default_rng(SEED + 2))
     ok = worst_little < 0.01 and worst_busy <= 0.01 and worst_norm <= 1e-12
     assert report(
         7, ok,

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import pytest
 
@@ -92,6 +93,16 @@ class TestSojournSweep:
                      "--out", str(out)]) == 0
         assert sorted({r["rho"] for r in read_rows(out)}) == ["0.3", "0.5"]
 
+    def test_rho_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "two_points.cfg"
+        cfg.write_text(FIG3_LIKE)
+        out = tmp_path / "out.csv"
+        assert main(["sojourn-sweep", "--config", str(cfg), "--rho", "0.4",
+                     "--horizon", "10000", "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 2 * 2  # topology x class
+        assert {r["rho"] for r in rows} == {"0.4"}
+
     def test_rfc4180_crlf_and_nine_significant_digits(self, tmp_path):
         out = tmp_path / "fmt.csv"
         main(["sojourn-sweep", "--rho", "0.3", "--horizon", "10000", "--out", str(out)])
@@ -136,6 +147,18 @@ class TestResidualCdf:
             main(["residual-cdf", "--family", "weibull", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "0"],
+        ["--samples", "-5"],
+        ["--grid-step", "0"],
+        ["--grid-step", "-1"],
+    ], ids=["samples-0", "samples-negative", "grid-step-0", "grid-step-negative"])
+    def test_degenerate_inputs_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "res.csv"
+        assert main(["residual-cdf", *flags, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCycleTime:
     def test_degenerate_residual(self, tmp_path):
@@ -179,6 +202,12 @@ class TestValidate:
         assert "load-points-stable" in out
         assert "FAIL" in out
 
+    def test_saturated_rho_flag_reported(self, capsys):
+        rc = main(["validate", "--rho", "0.5,1.3", "--horizon", "60000"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert re.search(r"^load-points-stable\s+FAIL\s+rho=1.3", out, re.MULTILINE)
+
     def test_tampered_tolerance_fails(self, capsys):
         rc = main(["validate", "--horizon", "60000", "--mm1-tol", "1e-9"])
         out = capsys.readouterr().out
@@ -197,6 +226,15 @@ class TestBadInput:
     def test_rho_out_of_range(self, capsys):
         rc = main(["sojourn-sweep", "--rho", "1.5", "--out", "-"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["residual-cdf", "--horizon", "10"],
+        ["cycle-time", "--config", "x.cfg"],
+    ], ids=["residual-cdf-horizon", "cycle-time-config"])
+    def test_scenario_flags_only_on_simulating_commands(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
 
     def test_missing_config_file(self, capsys):
         rc = main(["sojourn-sweep", "--config", "/nonexistent/x.cfg", "--out", "-"])

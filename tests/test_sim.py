@@ -255,8 +255,3 @@ class TestTrace:
             Packet("short", 5.0, 1.0, 4.0, 5.0, 0)  # starts before arrival
         with pytest.raises(ValueError):
             Packet("short", 1.0, 1.0, 2.0, 4.0, 0)  # departure mismatch
-
-    def test_packet_direction_is_inert_metadata(self):
-        p = Packet("short", 1.2, 1.0, 2.0, 3.0, 0, direction="ul")
-        assert p.direction == "ul"
-        assert Packet("short", 1.2, 1.0, 2.0, 3.0, 0).direction is None

@@ -20,7 +20,6 @@ from tddq import (
     long_service_moments,
     parse_scenario,
     region_probabilities,
-    sample_long_service,
     sample_long_services,
     short_service_moments,
     solve_arrival_rates,
@@ -268,23 +267,15 @@ class TestSampleLongService:
     def test_single_region_constant(self):
         table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(0.5,))
         rng = np.random.default_rng(1)
-        assert all(
-            sample_long_service(ChannelModel(1.0), table, rng) == 2.0 for _ in range(100)
-        )
+        draws = sample_long_services(ChannelModel(1.0), table, rng, 100)
+        assert draws.tolist() == [2.0] * 100
 
     def test_same_seed_same_sequence(self):
         channel, table = fig3_channel(), fig3_table()
         rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        seq1 = [sample_long_service(channel, table, rng1) for _ in range(200)]
-        seq2 = [sample_long_service(channel, table, rng2) for _ in range(200)]
-        assert seq1 == seq2
-
-    def test_vectorized_matches_scalar_stream(self):
-        channel, table = fig3_channel(), fig3_table()
-        rng1, rng2 = np.random.default_rng(11), np.random.default_rng(11)
-        vec = sample_long_services(channel, table, rng1, 50)
-        scalars = [sample_long_service(channel, table, rng2) for _ in range(50)]
-        assert vec.tolist() == scalars
+        seq1 = sample_long_services(channel, table, rng1, 200)
+        seq2 = sample_long_services(channel, table, rng2, 200)
+        assert seq1.tolist() == seq2.tolist()
 
     def test_empirical_frequencies_match_probabilities(self):
         channel, table = fig3_channel(), fig3_table()
