@@ -72,7 +72,6 @@ def _open_out(path: str):
 
 
 def _residual_model(args: argparse.Namespace) -> ResidualModel:
-    samples = tuple(float(v) for v in args.empirical_samples.split(",") if v.strip())
     if args.family == "exponential":
         return ResidualModel.exponential(args.rate, args.s_long)
     if args.family == "truncated-exponential":
@@ -80,7 +79,7 @@ def _residual_model(args: argparse.Namespace) -> ResidualModel:
     if args.family == "uniform":
         return ResidualModel.uniform(args.s_long)
     if args.family == "empirical":
-        return ResidualModel.empirical(samples, args.s_long)
+        return ResidualModel.empirical(args.empirical_samples, args.s_long)
     raise ValueError(f"unknown residual family {args.family!r}")
 
 
@@ -94,12 +93,11 @@ def _scenario(args: argparse.Namespace, strict_rho: bool) -> Scenario:
                 if args.config else default_scenario())
     if args.rho is None:
         return scenario
-    rho_list = tuple(float(v) for v in args.rho.split(",") if v.strip())
     if strict_rho:
-        for rho in rho_list:
+        for rho in args.rho:
             if not (0.0 < rho < 1.0):
                 raise ValueError(f"rho values must lie in (0, 1), got {rho}")
-    return replace(scenario, rho_list=rho_list)
+    return replace(scenario, rho_list=args.rho)
 
 
 def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
@@ -280,24 +278,44 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ("residual-dominance", *_check_dominance()),
     ]
     width = max(len(name) for name, _, _ in checks)
-    failed = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:<{width}}  {status}  {detail}")
-        failed += 0 if ok else 1
-    print(f"{failed} of {len(checks)} checks failed" if failed
-          else f"all {len(checks)} checks passed")
+    failed = sum(1 for _, ok, _ in checks if not ok)
+    with _open_out(args.out) as fh:
+        for name, ok, detail in checks:
+            print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}", file=fh)
+        print(f"{failed} of {len(checks)} checks failed" if failed
+              else f"all {len(checks)} checks passed", file=fh)
     return 1 if failed else 0
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    """argparse type for a comma list of numbers ('' is the empty list)."""
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
+    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.add_argument("--seed", type=int, default=12345)
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario file (key = value lines)")
-    p.add_argument("--rho", help="comma list overriding the scenario load points")
+    p.add_argument("--rho", type=_float_list,
+                   help="comma list overriding the scenario load points")
     p.add_argument("--horizon", type=int, default=200_000,
                    help="departures per simulation run")
 
@@ -308,10 +326,8 @@ def _add_residual_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", type=float, default=1.0, help="exponential rate")
     p.add_argument("--s-long", dest="s_long", type=float, default=10.0,
                    help="longest TTI bounding the residual support")
-    p.add_argument("--empirical-samples", dest="empirical_samples", default="",
-                   help="comma list of residual samples (family=empirical)")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="Monte Carlo sample count")
+    p.add_argument("--empirical-samples", dest="empirical_samples", type=_float_list,
+                   default=(), help="comma list of residual samples (family=empirical)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,11 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual-cdf", help="coupled vs min-of-two residual CDF")
     _add_common(p)
     _add_residual_flags(p)
+    # range-checked in cmd_residual_cdf: a bad count there is reported by
+    # main() returning 2, not by argparse exiting
+    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.1)
 
     p = sub.add_parser("cycle-time", help="two-way cycle time quantiles")
     _add_common(p)
     _add_residual_flags(p)
+    p.add_argument("--samples", type=_positive_int, default=100_000,
+                   help="Monte Carlo sample count")
     p.add_argument("--s-short", dest="s_short", type=float, default=1.0)
     p.add_argument("--t-proc", dest="t_proc", type=float, default=2.0)
 

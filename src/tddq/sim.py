@@ -5,21 +5,31 @@ Both packet classes arrive Poisson; short packets have strict non-preemptive
 priority, FIFO within class. Service only starts on slot boundaries (slot =
 short TTI) and every service duration is a whole number of slots, so the
 scheduler can run boundary-to-boundary instead of slot-by-slot: each loop
-iteration starts exactly one service. Long packets draw their SNR (hence TTI)
-once, on arrival. The decoupled topology doubles both arrival rates and lets
-two servers share the same two queues, keeping per-server utilization equal
-to the coupled baseline.
+iteration starts at least one service. Long packets draw their SNR (hence
+TTI) once, on arrival. The decoupled topology doubles both arrival rates and
+lets two servers share the same two queues, keeping per-server utilization
+equal to the coupled baseline.
+
+A run has three steps. Each class draws its arrival times and service
+durations as arrays (`_ClassDraws`). The boundary loop schedules them: the
+C kernel in `_schedule.c`, compiled on first use, or its bit-identical Python
+reference `_schedule_py`. Statistics, packets and the trace are then built
+from what the loop wrote.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
-from array import array
-from bisect import bisect_left as _bisect_left
-from collections import deque
+import os
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import t as _student_t
@@ -29,6 +39,7 @@ from .traffic import (
     SaturationError,
     TrafficConfig,
     long_service_moments,
+    sample_long_services,
     utilization,
 )
 
@@ -44,7 +55,6 @@ __all__ = [
 
 N_BATCHES = 32
 _T975_31 = float(_student_t.ppf(0.975, N_BATCHES - 1))
-_RNG_BLOCK = 8192
 
 
 class Topology(Enum):
@@ -121,30 +131,12 @@ class SojournSummary:
         return abs(self.avg_in_system - lw) / lw
 
 
-class _Uniforms:
-    """Blocked uniform(0,1) draws from one seeded generator."""
-
-    __slots__ = ("_rng", "_buf", "_i")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.random(_RNG_BLOCK).tolist()
-        self._i = 0
-
-    def next(self) -> float:
-        i = self._i
-        if i == _RNG_BLOCK:
-            self._buf = self._rng.random(_RNG_BLOCK).tolist()
-            i = 0
-        self._i = i + 1
-        return self._buf[i]
-
-
-def _class_stats(samples: array, scale: float) -> ClassStats:
-    n = len(samples)
+def _class_stats(data: np.ndarray, scale: float) -> ClassStats:
+    """Statistics of the sojourns in `data`, which is scaled in place."""
+    n = len(data)
     if n == 0:
         return ClassStats(0, math.nan, math.nan, math.nan)
-    data = np.frombuffer(samples, dtype=np.float64) * scale
+    data *= scale
     mean = float(data.mean())
     variance = float(data.var(ddof=1)) if n >= 2 else math.nan
     if n >= N_BATCHES:
@@ -193,6 +185,11 @@ def run(
     first `warmup` (default: 10% of horizon). Identical (config, topology,
     seed) yields identical summaries.
 
+    Each class draws its arrivals and service durations up front from its own
+    streams of `SeedSequence(seed)`; the schedule then runs in a compiled
+    loop, built on the first call in a process, or in the bit-identical
+    Python reference loop (with a RuntimeWarning) when no C compiler works.
+
     `slot_aligned=False` lets service start the moment a server and packet are
     both available; `exponential_service=True` additionally replaces the
     deterministic/table durations by exponentials with the same means. Both
@@ -213,209 +210,71 @@ def run(
     lam_l = config.lambda_long * factor * slot
     if lam_s + lam_l == 0.0:
         if trace_path:
-            _write_trace(trace_path, [], slot)
+            _write_trace(trace_path, _NO_EVENTS, slot)
         return _empty_summary(n_servers, warmup, seed, keep_packets)
     if horizon <= warmup:
         raise ValueError("horizon must exceed warmup")
 
-    e_long, _ = long_service_moments(config.channel, config.table)
-    if slot_aligned:
-        durations = tuple(int(round(d / slot)) for d in config.table.durations)
-        short_dur = 1
+    if exponential_service:
+        e_long, _ = long_service_moments(config.channel, config.table)
+        short_service = _exponential_services(1.0)
+        long_service = _exponential_services(e_long / slot)
     else:
-        durations = tuple(d / slot for d in config.table.durations)
-        short_dur = 1.0
-    exp_long_mean = e_long / slot
+        def short_service(rng, n):
+            return np.ones(n)
 
-    trace = [] if trace_path else None
-    packets = [] if keep_packets else None
+        def long_service(rng, n):
+            tti = sample_long_services(config.channel, config.table, rng, n)
+            tti /= slot
+            return np.rint(tti, out=tti) if slot_aligned else tti
 
-    summary = _simulate(
-        lam_s=lam_s,
-        lam_l=lam_l,
-        mean_snr=config.channel.mean_snr,
-        inner_thresholds=config.table.inner_thresholds,
-        durations=durations,
-        short_dur=short_dur,
-        exp_long_mean=exp_long_mean,
-        horizon=horizon,
-        warmup=warmup,
-        n_servers=n_servers,
-        aligned=slot_aligned,
-        exp_service=exponential_service,
-        seed=seed,
-        scale=slot,
-        trace=trace,
-        packets=packets,
-    )
-    if trace_path:
-        _write_trace(trace_path, trace, slot)
-    return summary
+    seq_s, seq_l = np.random.SeedSequence(seed).spawn(2)
+    short = _ClassDraws(seq_s, lam_s, short_service)
+    long_ = _ClassDraws(seq_l, lam_l, long_service)
+    share_s = lam_s / (lam_s + lam_l)
+    short.draw(_initial_draws(horizon, share_s))
+    long_.draw(_initial_draws(horizon, 1.0 - share_s))
 
+    schedule = _scheduler()
+    while True:
+        out = _Schedule(n_servers, horizon, warmup, short, long_,
+                        collect=keep_packets or bool(trace_path))
+        code = schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
+        if code != _NEED_MORE:
+            break
+        short.draw(max(short.limit, 1))
+        long_.draw(max(long_.limit, 1))
+    if code != _DONE:
+        raise RuntimeError(
+            "scheduler left a server idle while a packet waited (work conservation)"
+        )
 
-def _simulate(
-    *,
-    lam_s: float,
-    lam_l: float,
-    mean_snr: float,
-    inner_thresholds: tuple[float, ...],
-    durations: tuple,
-    short_dur,
-    exp_long_mean: float,
-    horizon: int,
-    warmup: int,
-    n_servers: int,
-    aligned: bool,
-    exp_service: bool,
-    seed: int,
-    scale: float,
-    trace: list | None,
-    packets: list | None,
-) -> SojournSummary:
-    rng = np.random.default_rng(seed)
-    uni = _Uniforms(rng)
-    u = uni.next
-    log1p = math.log1p
-    ceil = math.ceil
-    bisect_left = _bisect_left
+    packets = None
+    if keep_packets or trace_path:
+        times = _record_times(short, long_, out)
+        if keep_packets:
+            packets = _packets(out, times, slot)
+        if trace_path:
+            _write_trace(trace_path, _trace_events(out, times, short, long_), slot)
+        del times
+    del short, long_  # the draws are done with: keep them out of the peak below
 
-    inf = math.inf
-    next_s = -log1p(-u()) / lam_s if lam_s > 0 else inf
-    next_l = -log1p(-u()) / lam_l if lam_l > 0 else inf
-
-    q_s: deque = deque()
-    q_l: deque = deque()
-    free = [0] * n_servers if aligned else [0.0] * n_servers
-
-    soj_s = array("d")
-    soj_l = array("d")
-    prewarm_deps = array("d")
-    busy = [0.0] * n_servers
-    n_int = 0.0  # integral of N(t) over the window, slot units
-    n_arr = 0  # arrivals inside the window
-    t_w = 0.0
-    warm = False
-    started = 0
-    t = 0
-
-    collect = trace is not None or packets is not None
-    n_regions = len(durations)
-
-    while started < horizon:
-        # decision boundary: earliest free server, pushed out to the next
-        # packet availability when nothing is waiting
-        t = free[0]
-        for j in range(1, n_servers):
-            if free[j] < t:
-                t = free[j]
-        if not q_s and not q_l:
-            a = next_s if next_s < next_l else next_l
-            avail = ceil(a) if aligned else a
-            if avail > t:
-                t = avail
-
-        while next_s <= t:
-            if exp_service:
-                dur = -log1p(-u())
-            else:
-                dur = short_dur
-            q_s.append((next_s, dur))
-            if warm:
-                n_arr += 1
-            if trace is not None:
-                trace.append((next_s, 2, "short", -1))
-            next_s += -log1p(-u()) / lam_s
-        while next_l <= t:
-            if exp_service:
-                dur = -log1p(-u()) * exp_long_mean
-            elif n_regions == 1:
-                dur = durations[0]
-            else:
-                snr = -mean_snr * log1p(-u())
-                dur = durations[bisect_left(inner_thresholds, snr)]
-            q_l.append((next_l, dur))
-            if warm:
-                n_arr += 1
-            if trace is not None:
-                trace.append((next_l, 2, "long", -1))
-            next_l += -log1p(-u()) / lam_l
-
-        for j in range(n_servers):
-            if free[j] > t:
-                continue
-            if q_s:
-                arr, dur = q_s.popleft()
-                is_short = True
-            elif q_l:
-                arr, dur = q_l.popleft()
-                is_short = False
-            else:
-                break
-            if started == warmup:
-                # window opens at this start; credit in-flight remainders
-                t_w = t
-                warm = True
-                for j2 in range(n_servers):
-                    over = free[j2] - t_w
-                    if over > 0:
-                        busy[j2] += over
-                for d in prewarm_deps:
-                    if d > t_w:
-                        n_int += d - t_w
-                prewarm_deps = array("d")
-            dep = t + dur
-            free[j] = dep
-            if warm:
-                busy[j] += dur
-                n_int += dep - (arr if arr > t_w else t_w)
-                if is_short:
-                    soj_s.append(dep - arr)
-                else:
-                    soj_l.append(dep - arr)
-            else:
-                prewarm_deps.append(dep)
-            if collect:
-                kind = "short" if is_short else "long"
-                if trace is not None:
-                    trace.append((t, 1, kind, j))
-                    trace.append((dep, 0, kind, j))
-                if packets is not None:
-                    packets.append(Packet(kind, arr * scale, dur * scale,
-                                          t * scale, dep * scale, j))
-            started += 1
-            if started == horizon:
-                break
-
-        # work conservation: a boundary never leaves a free server and a
-        # waiting packet behind
-        assert not ((q_s or q_l) and any(f <= t for f in free)) or started == horizon
-
-    # close the window at the last start
-    t_end = t
-    for j in range(n_servers):
-        over = free[j] - t_end
-        if over > 0:
-            busy[j] -= over
-            n_int -= over
-    for arr, _dur in q_s:
-        n_int += t_end - (arr if arr > t_w else t_w)
-    for arr, _dur in q_l:
-        n_int += t_end - (arr if arr > t_w else t_w)
-
+    n_int, t_w, t_end = out.acc.tolist()
+    n_arr, _, _, k_s, k_l = out.cnt.tolist()
     span = t_end - t_w
     if span > 0:
-        busy_fraction = tuple(b / span for b in busy)
+        busy_fraction = tuple(b / span for b in out.busy.tolist())
         avg_in_system = n_int / span
-        arrival_rate = n_arr / (span * scale)
-        measurement_time = span * scale
+        arrival_rate = n_arr / (span * slot)
+        measurement_time = span * slot
     else:
         busy_fraction = (math.nan,) * n_servers
         avg_in_system = math.nan
         arrival_rate = math.nan
         measurement_time = 0.0
 
-    short_stats = _class_stats(soj_s, scale)
-    long_stats = _class_stats(soj_l, scale)
+    short_stats = _class_stats(out.soj_s[:k_s], slot)
+    long_stats = _class_stats(out.soj_l[:k_l], slot)
     converged = all(
         cs.count == 0 or (math.isfinite(cs.ci95) and cs.ci95 <= 0.1 * cs.mean)
         for cs in (short_stats, long_stats)
@@ -430,27 +289,316 @@ def _simulate(
         warmup_discarded=warmup,
         seed=seed,
         converged=converged,
-        packets=tuple(packets) if packets is not None else None,
+        packets=packets,
     )
 
 
-def _write_trace(path: str, events: list, scale: float) -> None:
-    """Replay collected events into the debug CSV (queue = arrived, unstarted)."""
-    names = {0: "depart", 1: "start", 2: "arrival"}
-    q = {"short": 0, "long": 0}
+def _exponential_services(mean: float):
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_exponential(n) * mean
+    return draw
+
+
+def _initial_draws(horizon: int, share: float) -> int:
+    """Arrivals drawn up front for a class with this share of the traffic.
+
+    Enough that a run almost never needs more; when it does, run() doubles
+    the draw and schedules again, with identical results.
+    """
+    return int(horizon * share * 1.05) + 1024
+
+
+class _ClassDraws:
+    """One packet class's arrival times and service durations, in slot units.
+
+    Both arrays end in a +inf sentinel. `limit` counts the real arrivals, or
+    is -1 for a class that never arrives. Arrival gaps and durations come
+    from two streams of the class's seed sequence, so drawing in one block
+    or in several gives the same arrays.
+    """
+
+    def __init__(self, seq: np.random.SeedSequence, lam: float, service):
+        self._gaps, self._services = (np.random.default_rng(s) for s in seq.spawn(2))
+        self._lam = lam
+        self._service = service  # (rng, n) -> n durations
+        self.arrivals = np.array([math.inf])
+        self.services = np.array([math.inf])
+        self.limit = 0 if lam > 0 else -1
+
+    def draw(self, n: int) -> None:
+        """Append `n` more arrivals (nothing for a class that never arrives)."""
+        if self.limit < 0:
+            return
+        first, end = self.limit, self.limit + n
+        self.arrivals = _extend(self.arrivals, first, n)
+        self.services = _extend(self.services, first, n)
+        # in blocks, so that temporaries stay small next to the arrays
+        for lo in range(first, end, _DRAW_BLOCK):
+            hi = min(lo + _DRAW_BLOCK, end)
+            times = self.arrivals[lo:hi]
+            self._gaps.standard_exponential(out=times)
+            # a vanishing rate overflows to +inf gaps: that class never arrives
+            with np.errstate(over="ignore"):
+                times /= self._lam
+                if lo:
+                    times[0] += self.arrivals[lo - 1]
+                np.cumsum(times, out=times)
+            self.services[lo:hi] = self._service(self._services, hi - lo)
+        self.limit = end
+
+
+def _extend(values: np.ndarray, keep: int, n: int) -> np.ndarray:
+    """values[:keep], room for `n` more, then the +inf sentinel."""
+    grown = np.empty(keep + n + 1)
+    grown[:keep] = values[:keep]
+    grown[-1] = math.inf
+    return grown
+
+
+class _Schedule:
+    """Output buffers of one scheduling pass; `_schedule.c` documents them.
+
+    Each is sized for the most the loop can write into it: a class's
+    sojourns are bounded by its draws and by the window, records by the
+    horizon.
+    """
+
+    def __init__(self, n_servers: int, horizon: int, warmup: int,
+                 short: _ClassDraws, long_: _ClassDraws, collect: bool):
+        window = horizon - warmup
+        self.busy = np.zeros(n_servers)
+        self.soj_s = np.empty(min(max(short.limit, 0), window))
+        self.soj_l = np.empty(min(max(long_.limit, 0), window))
+        self.acc = np.zeros(3)
+        self.cnt = np.zeros(5, dtype=np.int64)
+        if collect:
+            self.rec_cls = np.empty(horizon, dtype=np.uint8)
+            self.rec_idx = np.empty(horizon, dtype=np.int64)
+            self.rec_start = np.empty(horizon)
+            self.rec_srv = np.empty(horizon, dtype=np.int64)
+        else:
+            self.rec_cls = self.rec_idx = self.rec_start = self.rec_srv = None
+
+
+_DRAW_BLOCK = 16384
+_DONE, _NEED_MORE, _BREACH = 0, 1, 2  # scheduler return codes, as in _schedule.c
+_SOURCE = Path(__file__).with_name("_schedule.c")
+_CC = "cc"
+
+
+@functools.cache
+def _kernel():
+    """`tddq_schedule` from `_schedule.c`, compiled once per process into a
+    private temporary directory; None, with one RuntimeWarning, when no C
+    compiler works."""
+    try:
+        with tempfile.TemporaryDirectory(prefix="tddq-") as tmp:
+            lib_path = os.path.join(tmp, "_schedule.so")
+            subprocess.run(
+                [_CC, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+                 "-o", lib_path, str(_SOURCE), "-lm"],
+                check=True, capture_output=True, timeout=120,
+            )
+            lib = ctypes.CDLL(lib_path)  # stays mapped after the file is removed
+    except (OSError, subprocess.SubprocessError) as exc:
+        warnings.warn(
+            f"cannot build the C scheduler ({exc}); using the slower Python reference loop",
+            RuntimeWarning, stacklevel=4,
+        )
+        return None
+    fn = lib.tddq_schedule
+    i64, ptr = ctypes.c_longlong, ctypes.c_void_p
+    fn.argtypes = [i64, ctypes.c_int, i64, i64,
+                   ptr, ptr, i64, ptr, ptr, i64,
+                   ptr, ptr, ptr, ptr, ptr,
+                   ptr, ptr, ptr, ptr]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _scheduler():
+    """The compiled loop when it builds, else the Python reference."""
+    kernel = _kernel()
+    return _schedule_py if kernel is None else functools.partial(_schedule_c, kernel)
+
+
+def _ptr(a: np.ndarray | None) -> int | None:
+    return None if a is None else a.ctypes.data
+
+
+def _schedule_c(kernel, n_servers: int, aligned: bool, horizon: int, warmup: int,
+                short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
+    return kernel(
+        n_servers, int(aligned), horizon, warmup,
+        _ptr(short.arrivals), _ptr(short.services), short.limit,
+        _ptr(long_.arrivals), _ptr(long_.services), long_.limit,
+        _ptr(out.busy), _ptr(out.soj_s), _ptr(out.soj_l), _ptr(out.acc), _ptr(out.cnt),
+        _ptr(out.rec_cls), _ptr(out.rec_idx), _ptr(out.rec_start), _ptr(out.rec_srv),
+    )
+
+
+def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
+                 short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
+    """Reference for `_schedule.c`: the same operations in the same order."""
+    arr_s, dur_s, lim_s = short.arrivals.tolist(), short.services.tolist(), short.limit
+    arr_l, dur_l, lim_l = long_.arrivals.tolist(), long_.services.tolist(), long_.limit
+    collect = out.rec_cls is not None
+    ceil = math.ceil
+    free = [0.0] * n_servers
+    busy = [0.0] * n_servers
+    soj_s: list[float] = []
+    soj_l: list[float] = []
+    records: list[tuple] = []
+    ns = nl = hs = hl = started = n_arr = 0
+    n_int = t_w = t = 0.0
+    warm = False
+
+    while started < horizon:
+        t = min(free)
+        if hs == ns and hl == nl:
+            a = arr_s[ns] if arr_s[ns] < arr_l[nl] else arr_l[nl]
+            avail = float(ceil(a)) if aligned else a
+            if avail > t:
+                t = avail
+        ns0, nl0 = ns, nl
+        while arr_s[ns] <= t:
+            ns += 1
+        while arr_l[nl] <= t:
+            nl += 1
+        if warm:
+            n_arr += (ns - ns0) + (nl - nl0)
+        if ns == lim_s or nl == lim_l:
+            return _NEED_MORE
+
+        for j in range(n_servers):
+            if free[j] > t:
+                continue
+            if hs < ns:
+                cls, i = 0, hs
+                hs += 1
+                arr, dur = arr_s[i], dur_s[i]
+            elif hl < nl:
+                cls, i = 1, hl
+                hl += 1
+                arr, dur = arr_l[i], dur_l[i]
+            else:
+                break
+            if started == warmup:
+                t_w = t
+                warm = True
+                for j2 in range(n_servers):
+                    over = free[j2] - t_w
+                    if over > 0:
+                        busy[j2] += over
+                        n_int += over
+            dep = t + dur
+            free[j] = dep
+            if warm:
+                busy[j] += dur
+                n_int += dep - (arr if arr > t_w else t_w)
+                (soj_l if cls else soj_s).append(dep - arr)
+            if collect:
+                records.append((cls, i, t, j))
+            started += 1
+            if started == horizon:
+                break
+
+        if started < horizon and (hs < ns or hl < nl) and min(free) <= t:
+            return _BREACH
+
+    for j in range(n_servers):
+        over = free[j] - t
+        if over > 0:
+            busy[j] -= over
+            n_int -= over
+    for i in range(hs, ns):
+        n_int += t - (arr_s[i] if arr_s[i] > t_w else t_w)
+    for i in range(hl, nl):
+        n_int += t - (arr_l[i] if arr_l[i] > t_w else t_w)
+
+    out.busy[:] = busy
+    out.soj_s[: len(soj_s)] = soj_s
+    out.soj_l[: len(soj_l)] = soj_l
+    out.acc[:] = (n_int, t_w, t)
+    out.cnt[:] = (n_arr, ns, nl, len(soj_s), len(soj_l))
+    if collect:
+        cls, idx, start, srv = zip(*records)
+        out.rec_cls[:] = cls
+        out.rec_idx[:] = idx
+        out.rec_start[:] = start
+        out.rec_srv[:] = srv
+    return _DONE
+
+
+_KINDS = ("short", "long")
+_DEPART, _START, _ARRIVAL = 0, 1, 2  # trace ranks: the order of simultaneous events
+_EVENT_NAMES = ("depart", "start", "arrival")
+_NO_EVENTS = (np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empty(0, np.int64))
+_TRACE_CHUNK = 65536
+
+
+def _record_times(short: _ClassDraws, long_: _ClassDraws, out: _Schedule):
+    """(arrival, duration, start, departure) of every start, in slot units."""
+    # index both classes' arrays at once: long indices shift past the short ones
+    at = out.rec_idx + len(short.arrivals) * out.rec_cls.astype(np.int64)
+    arrival = np.concatenate((short.arrivals, long_.arrivals))[at]
+    duration = np.concatenate((short.services, long_.services))[at]
+    return arrival, duration, out.rec_start, out.rec_start + duration
+
+
+def _packets(out: _Schedule, times, scale: float) -> tuple[Packet, ...]:
+    return tuple(
+        Packet(_KINDS[c], a, d, s, e, j)
+        for c, a, d, s, e, j in zip(
+            out.rec_cls.tolist(), *((x * scale).tolist() for x in times),
+            out.rec_srv.tolist(),
+        )
+    )
+
+
+def _trace_events(out: _Schedule, times, short: _ClassDraws, long_: _ClassDraws) -> tuple:
+    """The trace's events in the order the schedule made them: arrivals, short
+    before long, then starts and departures in start order. `_write_trace`
+    sorts them stably, so that order settles ties of time and rank."""
+    _, _, start, departure = times
+    n_short, n_long = out.cnt[1:3].tolist()
+    n_arr, n_starts = n_short + n_long, len(start)
+    return (
+        np.concatenate((short.arrivals[:n_short], long_.arrivals[:n_long], start, departure)),
+        np.concatenate((np.full(n_arr, _ARRIVAL, np.uint8), np.full(n_starts, _START, np.uint8),
+                        np.full(n_starts, _DEPART, np.uint8))),
+        np.concatenate((np.zeros(n_short, np.uint8), np.ones(n_long, np.uint8),
+                        out.rec_cls, out.rec_cls)),
+        np.concatenate((np.full(n_arr, -1), out.rec_srv, out.rec_srv)),
+    )
+
+
+def _write_trace(path: str, events: tuple, scale: float) -> None:
+    """Replay events into the debug CSV (queue = arrived, unstarted).
+
+    `events` holds parallel arrays (time in slots, rank, class 0 short /
+    1 long, server or -1); rows come out by time, then rank, and otherwise in
+    the order given.
+    """
+    time, rank, cls, server = events
+    order = np.lexsort((rank, time))
+    time, rank, cls, server = time[order], rank[order], cls[order], server[order]
+    # queue lengths after each row: +1 on arrival, -1 on start
+    step = (rank == _ARRIVAL).astype(np.int64) - (rank == _START)
+    q_short = np.cumsum(np.where(cls == 0, step, 0))
+    q_long = np.cumsum(np.where(cls == 1, step, 0))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "event", "class", "server", "queue_len_short", "queue_len_long"])
-        for time, rank, kind, server in sorted(events, key=lambda e: (e[0], e[1])):
-            if rank == 2:
-                q[kind] += 1
-            elif rank == 1:
-                q[kind] -= 1
-            w.writerow([
-                format(time * scale, ".9g"), names[rank], kind,
-                server if server >= 0 else "",
-                q["short"], q["long"],
-            ])
+        for lo in range(0, len(time), _TRACE_CHUNK):
+            part = slice(lo, lo + _TRACE_CHUNK)
+            w.writerows(
+                [format(t, ".9g"), _EVENT_NAMES[r], _KINDS[c], j if j >= 0 else "", qs, ql]
+                for t, r, c, j, qs, ql in zip(
+                    (time[part] * scale).tolist(), rank[part].tolist(), cls[part].tolist(),
+                    server[part].tolist(), q_short[part].tolist(), q_long[part].tolist(),
+                )
+            )
 
 
 @dataclass(frozen=True)

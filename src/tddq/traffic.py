@@ -240,11 +240,12 @@ def sample_long_services(
 ) -> np.ndarray:
     """Draw `n` long-packet service times.
 
-    Inverse-CDF exponential SNR draws from the passed stream, then the region
-    lookup in the table; the stream is the only mutated state.
+    Exponential SNR draws from the passed stream, then the region lookup in
+    the table; the stream is the only mutated state. Drawing n1 then n2
+    continues the sequence that one draw of n1 + n2 gives.
     """
-    u = rng.random(n)
-    snr = -channel.mean_snr * np.log1p(-u)
+    snr = rng.standard_exponential(n)
+    snr *= channel.mean_snr
     idx = np.searchsorted(np.asarray(table.inner_thresholds), snr, side="left")
     return np.asarray(table.durations)[idx]
 

@@ -12,8 +12,11 @@ twice, so its short-class mean exceeds the slotted system's by
 slot*rho_L/(2(1-rho_S)) (5.6%-6.5% of the form at rho 0.5-0.85). The
 criterion subtracts that excess, computed from the closed-form inputs alone,
 and holds the short class to the same 5% band as the long class; the
-simulation lands within 0.4% of the corrected form (about one CI half-width
-at rho = 0.5) and strictly below the uncorrected one.
+simulation lands within 0.4% of the corrected form and strictly below the
+uncorrected one. The long class must also lie within three of its own 95% CI
+half widths of the boundary-exact `mg1_priority_sojourn_slotted` mean, which
+the 5% band alone is too wide to enforce: starts off the slot grid move it by
+22, 10 and 3.5 half widths at rho 0.3, 0.5 and 0.7.
 """
 
 import math
@@ -100,11 +103,14 @@ def test_criterion_2_pk_agreement(fig3, sweep_results):
         rel_s = abs(s.short.mean - target_s) / target_s
         gap_s = (s.short.mean - predicted.mean_short) / predicted.mean_short
         rel_l = abs(s.long.mean - predicted.mean_long) / predicted.mean_long
+        # the boundary-exact long mean, in units of the run's own CI half width
+        z_l = (s.long.mean - exact.mean_long) / s.long.ci95
         ok = (
             ok
             and rel_s <= 0.05
             and s.short.mean < predicted.mean_short
             and rel_l <= 0.05
+            and abs(z_l) <= 3.0
         )
         lines.append(
             f"  rho={rho}: short sim {s.short.mean:.4f} vs formula "
@@ -112,13 +118,15 @@ def test_criterion_2_pk_agreement(fig3, sweep_results):
             f"excess {excess:.4f} = {target_s:.4f} (rel {rel_s:.2%}) "
             f"[boundary-exact {exact.mean_short:.4f}]; "
             f"long sim {s.long.mean:.4f} vs {predicted.mean_long:.4f} "
-            f"(rel {rel_l:.2%})"
+            f"(rel {rel_l:.2%}) [boundary-exact {exact.mean_long:.4f}, "
+            f"{z_l:+.2f} ci95]"
         )
     detail = (
         "per-class sim vs single-server closed form within 5% at "
         + ",".join(map(str, PK_POINTS))
         + " (short class against the form minus its partial-slot excess "
-        "slot*rho_L/(2(1-rho_S)), and below the uncorrected form)"
+        "slot*rho_L/(2(1-rho_S)), and below the uncorrected form); long class "
+        "also within 3 ci95 of the boundary-exact form"
     )
     report(2, ok, detail)
     for line in lines:
@@ -127,7 +135,8 @@ def test_criterion_2_pk_agreement(fig3, sweep_results):
         "coupled simulation disagrees with the single-server closed form: the "
         "short mean must lie below the paper form and within 5% of it minus "
         "slot*rho_L/(2(1-rho_S)) (a correct slot-aligned scheduler lands within "
-        "0.4%), the long mean within 5% of the paper form.\n" + "\n".join(lines)
+        "0.4%), the long mean within 5% of the paper form and within 3 ci95 of "
+        "the boundary-exact form.\n" + "\n".join(lines)
     )
 
 

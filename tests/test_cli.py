@@ -208,6 +208,14 @@ class TestValidate:
         assert rc == 1
         assert re.search(r"^load-points-stable\s+FAIL\s+rho=1.3", out, re.MULTILINE)
 
+    def test_out_writes_report(self, tmp_path, capsys):
+        out = tmp_path / "validate.txt"
+        assert main(["validate", "--horizon", "120000", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        report = out.read_text()
+        assert re.search(r"^mm1-sanity\s+PASS", report, re.MULTILINE)
+        assert report.endswith("all 5 checks passed\n")
+
     def test_tampered_tolerance_fails(self, capsys):
         rc = main(["validate", "--horizon", "60000", "--mm1-tol", "1e-9"])
         out = capsys.readouterr().out
@@ -235,6 +243,21 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sojourn-sweep", "--rho", "abc"], "--rho"),
+        (["sojourn-sweep", "--rho", "0.3,x"], "--rho"),
+        (["residual-cdf", "--family", "empirical", "--empirical-samples", "abc"],
+         "--empirical-samples"),
+        (["cycle-time", "--samples", "0"], "--samples"),
+        (["cycle-time", "--samples", "many"], "--samples"),
+    ], ids=["rho-word", "rho-list-entry", "empirical-samples-word",
+            "cycle-samples-0", "cycle-samples-word"])
+    def test_malformed_number_names_flag(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         rc = main(["sojourn-sweep", "--config", "/nonexistent/x.cfg", "--out", "-"])

@@ -1,5 +1,6 @@
 """Simulator unit tests: closed-form oracles, scheduling invariants,
-conservation diagnostics, determinism, sweep behaviour and the trace dump.
+conservation diagnostics, determinism, sweep behaviour, the trace dump, and
+the compiled scheduling loop against its Python reference.
 
 Heavier statistical checks (10^6-departure runs at the stated tolerances)
 live in test_acceptance.py; runs here are sized for speed with tolerances
@@ -7,10 +8,14 @@ that the fixed seeds meet with margin.
 """
 
 import csv
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tddq import (
     ChannelModel,
@@ -21,8 +26,10 @@ from tddq import (
     default_scenario,
     mg1_priority_sojourn_slotted,
     run,
+    solve_arrival_rates,
     sweep,
 )
+from tddq import sim
 
 SINGLE_RATE = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(1.0,))
 MM1_CONFIG = TrafficConfig(0.5, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
@@ -255,3 +262,94 @@ class TestTrace:
             Packet("short", 5.0, 1.0, 4.0, 5.0, 0)  # starts before arrival
         with pytest.raises(ValueError):
             Packet("short", 1.0, 1.0, 2.0, 4.0, 0)  # departure mismatch
+
+
+@st.composite
+def small_runs(draw):
+    """A random scenario (1-6 SNR regions, load up to 0.95) and run options."""
+    m = draw(st.integers(1, 6))
+    inner_db = sorted(draw(st.lists(st.integers(-10, 30), min_size=m - 1,
+                                    max_size=m - 1, unique=True)))
+    slots = sorted(draw(st.lists(st.integers(1, 20), min_size=m, max_size=m)), reverse=True)
+    mu_short = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    table = RateAdaptationTable.from_tti_durations(inner_db, [k / mu_short for k in slots])
+    channel = ChannelModel.from_db(draw(st.integers(-5, 20)))
+    rho = draw(st.floats(0.05, 0.95))
+    lam_s, lam_l = solve_arrival_rates(rho, draw(st.floats(0.0, 4.0)), channel, table, mu_short)
+    config = TrafficConfig(lam_s, lam_l, mu_short, channel, table)
+    mode = draw(st.sampled_from(["aligned", "unaligned", "exponential"]))
+    horizon = draw(st.integers(1, 300))
+    return dict(
+        config=config,
+        topology=draw(st.sampled_from(list(Topology))),
+        horizon=horizon,
+        warmup=draw(st.integers(0, horizon - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        slot_aligned=mode == "aligned",
+        exponential_service=mode == "exponential",
+    )
+
+
+def compiled_kernel():
+    kernel = sim._kernel()
+    if kernel is None:
+        pytest.skip("no working C compiler")
+    return functools.partial(sim._schedule_c, kernel)
+
+
+def run_on(scheduler, trace_path, **kwargs):
+    """run() with the given scheduling loop, packets kept and a trace written."""
+    with mock.patch.object(sim, "_scheduler", lambda: scheduler):
+        summary = run(keep_packets=True, trace_path=str(trace_path), **kwargs)
+    with open(trace_path, "rb") as fh:
+        return summary, fh.read()
+
+
+class TestCompiledKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(small_runs())
+    def test_matches_python_reference(self, tmp_path_factory, kwargs):
+        tmp = tmp_path_factory.mktemp("kernel")
+        c_summary, c_trace = run_on(compiled_kernel(), tmp / "c.csv", **kwargs)
+        py_summary, py_trace = run_on(sim._schedule_py, tmp / "py.csv", **kwargs)
+        assert c_summary == py_summary
+        assert c_trace == py_trace
+
+    def test_growing_the_draws_leaves_results_unchanged(self, tmp_path, monkeypatch):
+        kwargs = dict(config=fig3_config(0.9), topology=Topology.DECOUPLED,
+                      horizon=3_000, warmup=300, seed=31)
+        expected = run_on(compiled_kernel(), tmp_path / "ref.csv", **kwargs)
+        monkeypatch.setattr(sim, "_initial_draws", lambda horizon, share: 1)
+        monkeypatch.setattr(sim, "_DRAW_BLOCK", 7)
+        for name, scheduler in (("c", compiled_kernel()), ("py", sim._schedule_py)):
+            calls = []
+
+            def counting(*args, scheduler=scheduler):
+                calls.append(1)
+                return scheduler(*args)
+
+            assert run_on(counting, tmp_path / f"{name}.csv", **kwargs) == expected
+            assert len(calls) > 1  # at least one grow-and-rerun
+
+    @pytest.fixture
+    def fresh_kernel(self):
+        sim._kernel.cache_clear()
+        yield
+        sim._kernel.cache_clear()
+
+    def test_no_compiler_falls_back_to_reference(self, monkeypatch, fresh_kernel):
+        args = (fig3_config(0.7), Topology.DECOUPLED, 5_000)
+        expected = run(*args, seed=8, keep_packets=True)
+        assert sim._kernel() is not None
+        sim._kernel.cache_clear()
+        monkeypatch.setattr(sim, "_CC", "tddq-no-such-compiler")
+        with pytest.warns(RuntimeWarning, match="Python reference") as caught:
+            first = run(*args, seed=8, keep_packets=True)
+            second = run(*args, seed=8, keep_packets=True)
+        assert len(caught) == 1
+        assert first == expected and second == expected
+
+    def test_work_conservation_breach_raises(self, monkeypatch):
+        monkeypatch.setattr(sim, "_scheduler", lambda: lambda *args: sim._BREACH)
+        with pytest.raises(RuntimeError, match="work conservation"):
+            run(MM1_CONFIG, Topology.COUPLED, 100, seed=1)
