@@ -12,9 +12,10 @@
  *
  * Outputs: busy[n_servers]; the windowed sojourns soj_s/soj_l, in start
  * order; acc = {integral of N(t), window open, window close};
- * cnt = {windowed arrivals, shorts queued, longs queued, short sojourns,
- * long sojourns}; and, when rec_cls is not NULL, one record per start
- * (class 0 short / 1 long, index into its class's arrays, start, server).
+ * cnt = {shorts queued, longs queued, short sojourns, long sojourns}, where
+ * a class's packets queued by the last boundary are exactly its arrivals up
+ * to it; and, when rec_cls is not NULL, one record per start in start order
+ * (class 0 short / 1 long, arrival, service duration, start, server).
  */
 
 #include <math.h>
@@ -25,13 +26,13 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
                   const double *arr_s, const double *dur_s, long long lim_s,
                   const double *arr_l, const double *dur_l, long long lim_l,
                   double *busy, double *soj_s, double *soj_l, double *acc, long long *cnt,
-                  unsigned char *rec_cls, long long *rec_idx, double *rec_start,
-                  long long *rec_srv)
+                  unsigned char *rec_cls, double *rec_arr, double *rec_dur,
+                  double *rec_start, long long *rec_srv)
 {
     double free_[n_servers];
     long long ns = 0, nl = 0; /* arrivals taken into the queues */
     long long hs = 0, hl = 0; /* queue heads: the queues are [hs, ns) and [hl, nl) */
-    long long started = 0, n_arr = 0, k_s = 0, k_l = 0;
+    long long started = 0, k_s = 0, k_l = 0;
     double n_int = 0.0, t_w = 0.0, t = 0.0;
     int warm = 0;
     long long i, j, j2;
@@ -55,13 +56,10 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
                 t = avail;
         }
 
-        long long ns0 = ns, nl0 = nl;
         while (arr_s[ns] <= t)
             ns++;
         while (arr_l[nl] <= t)
             nl++;
-        if (warm)
-            n_arr += (ns - ns0) + (nl - nl0);
         if (ns == lim_s || nl == lim_l)
             return TDDQ_NEED_MORE;
 
@@ -72,14 +70,12 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
                 continue;
             if (hs < ns) {
                 cls = 0;
-                i = hs++;
-                arr = arr_s[i];
-                dur = dur_s[i];
+                arr = arr_s[hs];
+                dur = dur_s[hs++];
             } else if (hl < nl) {
                 cls = 1;
-                i = hl++;
-                arr = arr_l[i];
-                dur = dur_l[i];
+                arr = arr_l[hl];
+                dur = dur_l[hl++];
             } else {
                 break;
             }
@@ -107,7 +103,8 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
             }
             if (rec_cls) {
                 rec_cls[started] = (unsigned char)cls;
-                rec_idx[started] = i;
+                rec_arr[started] = arr;
+                rec_dur[started] = dur;
                 rec_start[started] = t;
                 rec_srv[started] = j;
             }
@@ -140,10 +137,9 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
     acc[0] = n_int;
     acc[1] = t_w;
     acc[2] = t;
-    cnt[0] = n_arr;
-    cnt[1] = ns;
-    cnt[2] = nl;
-    cnt[3] = k_s;
-    cnt[4] = k_l;
+    cnt[0] = ns;
+    cnt[1] = nl;
+    cnt[2] = k_s;
+    cnt[3] = k_l;
     return TDDQ_DONE;
 }

@@ -41,7 +41,9 @@ from .traffic import (
     TrafficConfig,
     default_scenario,
     load_scenario,
+    long_service_moments,
     region_probabilities,
+    short_service_moments,
     solve_arrival_rates,
 )
 
@@ -102,6 +104,8 @@ def _scenario(args: argparse.Namespace, strict_rho: bool) -> Scenario:
 
 def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
     """Sweep utilization; one row per (rho, topology, class)."""
+    if args.warmup is not None and args.warmup >= args.horizon:
+        raise ValueError(f"--warmup ({args.warmup}) must be below --horizon ({args.horizon})")
     scenario = _scenario(args, strict_rho=True)
     header = ["rho", "class", "topology", "count", "analytic_mean",
               "sim_mean", "sim_ci95", "rel_err", "error"]
@@ -231,7 +235,16 @@ def _check_mm1(args: argparse.Namespace) -> tuple[bool, str]:
     return rel <= args.mm1_tol, f"mean sojourn {summary.short.mean:.4f} vs 2.0 (rel {rel:.3%})"
 
 
+_LITTLE_TOL = 0.01
+
+
 def _check_conservation(s: Scenario, args: argparse.Namespace) -> tuple[bool, str]:
+    """Little's law, and the busy fraction within 4 sigma of rho.
+
+    sigma is the standard deviation of the work that Poisson arrivals bring
+    in over the measurement window, per unit time:
+    sqrt((lambda_S E[S_S^2] + lambda_L E[S_L^2]) / T).
+    """
     rho = 0.7 if not s.rho_list else min(s.rho_list, key=lambda r: abs(r - 0.7))
     try:
         config = s.config_for(rho)
@@ -240,9 +253,13 @@ def _check_conservation(s: Scenario, args: argparse.Namespace) -> tuple[bool, st
     summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed)
     little = summary.little_residual
     busy_err = abs(summary.busy_fraction[0] - rho)
-    ok = little < args.little_tol and busy_err <= 0.01
-    return ok, (f"rho={rho:g}: little residual {little:.4f} "
-                f"(tol {args.little_tol:g}), |busy - rho| = {busy_err:.4f}")
+    work_rate_var = (config.lambda_short * short_service_moments(config)[1]
+                     + config.lambda_long * long_service_moments(config.channel, config.table)[1])
+    span = summary.measurement_time
+    busy_tol = 4.0 * math.sqrt(work_rate_var / span) if span > 0 else math.nan
+    ok = little < _LITTLE_TOL and busy_err <= busy_tol
+    return ok, (f"rho={rho:g}: little residual {little:.4f} (tol {_LITTLE_TOL:g}), "
+                f"|busy - rho| = {busy_err:.4f} (tol {busy_tol:.4f})")
 
 
 def _check_dominance() -> tuple[bool, str]:
@@ -296,15 +313,17 @@ def _float_list(text: str) -> tuple[float, ...]:
             f"expected a comma list of numbers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """argparse type for an integer of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -316,7 +335,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario file (key = value lines)")
     p.add_argument("--rho", type=_float_list,
                    help="comma list overriding the scenario load points")
-    p.add_argument("--horizon", type=int, default=200_000,
+    p.add_argument("--horizon", type=_int_at_least(1), default=200_000,
                    help="departures per simulation run")
 
 
@@ -340,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sojourn-sweep", help="mean sojourn vs utilization")
     _add_common(p)
     _add_scenario_flags(p)
-    p.add_argument("--warmup", type=int, default=None,
+    p.add_argument("--warmup", type=_int_at_least(0), default=None,
                    help="departures discarded (default 10%% of horizon)")
 
     p = sub.add_parser("residual-cdf", help="coupled vs min-of-two residual CDF")
@@ -354,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle-time", help="two-way cycle time quantiles")
     _add_common(p)
     _add_residual_flags(p)
-    p.add_argument("--samples", type=_positive_int, default=100_000,
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000,
                    help="Monte Carlo sample count")
     p.add_argument("--s-short", dest="s_short", type=float, default=1.0)
     p.add_argument("--t-proc", dest="t_proc", type=float, default=2.0)
@@ -363,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_scenario_flags(p)
     p.add_argument("--mm1-tol", dest="mm1_tol", type=float, default=0.02)
-    p.add_argument("--little-tol", dest="little_tol", type=float, default=0.01)
 
     return parser
 

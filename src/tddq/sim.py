@@ -11,10 +11,12 @@ lets two servers share the same two queues, keeping per-server utilization
 equal to the coupled baseline.
 
 A run has three steps. Each class draws its arrival times and service
-durations as arrays (`_ClassDraws`). The boundary loop schedules them: the
+durations as arrays (`_draw`); a run that needs more arrivals draws again, at
+twice the size, from the same seeds. The boundary loop schedules them: the
 C kernel in `_schedule.c`, compiled on first use, or its bit-identical Python
-reference `_schedule_py`. Statistics, packets and the trace are then built
-from what the loop wrote.
+reference `_schedule_py`; each start's record carries its own arrival and
+duration. Statistics, packets and the trace are then built from what the loop
+wrote.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ class Topology(Enum):
     @property
     def n_servers(self) -> int:
         return 1 if self is Topology.COUPLED else 2
-
-    @property
-    def rate_factor(self) -> float:
-        # traffic is doubled in the decoupled comparison so per-server load matches
-        return float(self.n_servers)
 
 
 @dataclass(frozen=True)
@@ -199,21 +196,21 @@ def run(
         warmup = horizon // 10
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
+    if horizon <= warmup:
+        raise ValueError("horizon must exceed warmup")
     if exponential_service and slot_aligned:
         raise ValueError("exponential service breaks slot alignment; pass slot_aligned=False")
     utilization(config)  # saturation rejected up front
     n_servers = topology.n_servers
-    factor = topology.rate_factor
     slot = config.slot
-    # work in slot units so aligned boundaries are exact integers
-    lam_s = config.lambda_short * factor * slot
-    lam_l = config.lambda_long * factor * slot
+    # work in slot units so aligned boundaries are exact integers; traffic is
+    # scaled by the server count so that per-server load matches
+    lam_s = config.lambda_short * n_servers * slot
+    lam_l = config.lambda_long * n_servers * slot
     if lam_s + lam_l == 0.0:
         if trace_path:
             _write_trace(trace_path, _NO_EVENTS, slot)
         return _empty_summary(n_servers, warmup, seed, keep_packets)
-    if horizon <= warmup:
-        raise ValueError("horizon must exceed warmup")
 
     if exponential_service:
         e_long, _ = long_service_moments(config.channel, config.table)
@@ -228,39 +225,38 @@ def run(
             tti /= slot
             return np.rint(tti, out=tti) if slot_aligned else tti
 
-    seq_s, seq_l = np.random.SeedSequence(seed).spawn(2)
-    short = _ClassDraws(seq_s, lam_s, short_service)
-    long_ = _ClassDraws(seq_l, lam_l, long_service)
+    seqs_s, seqs_l = (seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(2))
     share_s = lam_s / (lam_s + lam_l)
-    short.draw(_initial_draws(horizon, share_s))
-    long_.draw(_initial_draws(horizon, 1.0 - share_s))
-
+    n_s, n_l = _initial_draws(horizon, share_s), _initial_draws(horizon, 1.0 - share_s)
+    collect = keep_packets or bool(trace_path)
     schedule = _scheduler()
     while True:
-        out = _Schedule(n_servers, horizon, warmup, short, long_,
-                        collect=keep_packets or bool(trace_path))
+        short = _draw(seqs_s, lam_s, short_service, n_s)
+        long_ = _draw(seqs_l, lam_l, long_service, n_l)
+        out = _Schedule(n_servers, horizon, warmup, short, long_, collect)
         code = schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
         if code != _NEED_MORE:
             break
-        short.draw(max(short.limit, 1))
-        long_.draw(max(long_.limit, 1))
+        n_s, n_l = 2 * n_s, 2 * n_l  # same streams: the longer draw extends the shorter
     if code != _DONE:
         raise RuntimeError(
             "scheduler left a server idle while a packet waited (work conservation)"
         )
 
+    n_int, t_w, t_end = out.acc.tolist()
+    n_short, n_long, k_s, k_l = out.cnt.tolist()
+    # each boundary takes in every arrival up to itself, so the window's
+    # arrivals are those after its opening boundary, up to its closing one
+    n_arr = (n_short + n_long - int(np.searchsorted(short.arrivals, t_w, "right"))
+             - int(np.searchsorted(long_.arrivals, t_w, "right")))
     packets = None
-    if keep_packets or trace_path:
-        times = _record_times(short, long_, out)
-        if keep_packets:
-            packets = _packets(out, times, slot)
-        if trace_path:
-            _write_trace(trace_path, _trace_events(out, times, short, long_), slot)
-        del times
+    if keep_packets:
+        packets = _packets(out, slot)
+    if trace_path:
+        _write_trace(trace_path, _trace_events(out, short.arrivals[:n_short],
+                                               long_.arrivals[:n_long]), slot)
     del short, long_  # the draws are done with: keep them out of the peak below
 
-    n_int, t_w, t_end = out.acc.tolist()
-    n_arr, _, _, k_s, k_l = out.cnt.tolist()
     span = t_end - t_w
     if span > 0:
         busy_fraction = tuple(b / span for b in out.busy.tolist())
@@ -308,51 +304,43 @@ def _initial_draws(horizon: int, share: float) -> int:
     return int(horizon * share * 1.05) + 1024
 
 
+@dataclass(frozen=True)
 class _ClassDraws:
     """One packet class's arrival times and service durations, in slot units.
 
     Both arrays end in a +inf sentinel. `limit` counts the real arrivals, or
-    is -1 for a class that never arrives. Arrival gaps and durations come
-    from two streams of the class's seed sequence, so drawing in one block
-    or in several gives the same arrays.
+    is -1 for a class that never arrives.
     """
 
-    def __init__(self, seq: np.random.SeedSequence, lam: float, service):
-        self._gaps, self._services = (np.random.default_rng(s) for s in seq.spawn(2))
-        self._lam = lam
-        self._service = service  # (rng, n) -> n durations
-        self.arrivals = np.array([math.inf])
-        self.services = np.array([math.inf])
-        self.limit = 0 if lam > 0 else -1
-
-    def draw(self, n: int) -> None:
-        """Append `n` more arrivals (nothing for a class that never arrives)."""
-        if self.limit < 0:
-            return
-        first, end = self.limit, self.limit + n
-        self.arrivals = _extend(self.arrivals, first, n)
-        self.services = _extend(self.services, first, n)
-        # in blocks, so that temporaries stay small next to the arrays
-        for lo in range(first, end, _DRAW_BLOCK):
-            hi = min(lo + _DRAW_BLOCK, end)
-            times = self.arrivals[lo:hi]
-            self._gaps.standard_exponential(out=times)
-            # a vanishing rate overflows to +inf gaps: that class never arrives
-            with np.errstate(over="ignore"):
-                times /= self._lam
-                if lo:
-                    times[0] += self.arrivals[lo - 1]
-                np.cumsum(times, out=times)
-            self.services[lo:hi] = self._service(self._services, hi - lo)
-        self.limit = end
+    arrivals: np.ndarray
+    services: np.ndarray
+    limit: int
 
 
-def _extend(values: np.ndarray, keep: int, n: int) -> np.ndarray:
-    """values[:keep], room for `n` more, then the +inf sentinel."""
-    grown = np.empty(keep + n + 1)
-    grown[:keep] = values[:keep]
-    grown[-1] = math.inf
-    return grown
+def _draw(seqs, lam: float, service, n: int) -> _ClassDraws:
+    """`n` arrivals at rate `lam` with durations from `service(rng, n)`.
+
+    Gaps and durations come from fresh generators on the two seed sequences
+    `seqs`, so a larger `n` extends a smaller one's arrays unchanged.
+    """
+    gaps, durations = (np.random.default_rng(s) for s in seqs)
+    limit = n if lam > 0 else -1
+    arrivals = np.empty(max(limit, 0) + 1)
+    services = np.empty_like(arrivals)
+    arrivals[-1] = services[-1] = math.inf
+    # in blocks, so that temporaries stay small next to the arrays
+    for lo in range(0, limit, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, limit)
+        times = arrivals[lo:hi]
+        gaps.standard_exponential(out=times)
+        # a vanishing rate overflows to +inf gaps: that class never arrives
+        with np.errstate(over="ignore"):
+            times /= lam
+            if lo:
+                times[0] += arrivals[lo - 1]
+            np.cumsum(times, out=times)
+        services[lo:hi] = service(durations, hi - lo)
+    return _ClassDraws(arrivals, services, limit)
 
 
 class _Schedule:
@@ -370,14 +358,13 @@ class _Schedule:
         self.soj_s = np.empty(min(max(short.limit, 0), window))
         self.soj_l = np.empty(min(max(long_.limit, 0), window))
         self.acc = np.zeros(3)
-        self.cnt = np.zeros(5, dtype=np.int64)
-        if collect:
-            self.rec_cls = np.empty(horizon, dtype=np.uint8)
-            self.rec_idx = np.empty(horizon, dtype=np.int64)
-            self.rec_start = np.empty(horizon)
-            self.rec_srv = np.empty(horizon, dtype=np.int64)
-        else:
-            self.rec_cls = self.rec_idx = self.rec_start = self.rec_srv = None
+        self.cnt = np.zeros(4, dtype=np.int64)
+        # per start: class (0 short, 1 long), arrival, duration, start, server
+        self.records = (
+            (np.empty(horizon, np.uint8), np.empty(horizon), np.empty(horizon),
+             np.empty(horizon), np.empty(horizon, np.int64))
+            if collect else None
+        )
 
 
 _DRAW_BLOCK = 16384
@@ -388,9 +375,9 @@ _CC = "cc"
 
 @functools.cache
 def _kernel():
-    """`tddq_schedule` from `_schedule.c`, compiled once per process into a
-    private temporary directory; None, with one RuntimeWarning, when no C
-    compiler works."""
+    """`_schedule.c` compiled once per process into a private temporary
+    directory, as a callable with `_schedule_py`'s signature; None, with one
+    RuntimeWarning, when no C compiler works."""
     try:
         with tempfile.TemporaryDirectory(prefix="tddq-") as tmp:
             lib_path = os.path.join(tmp, "_schedule.so")
@@ -408,33 +395,25 @@ def _kernel():
         return None
     fn = lib.tddq_schedule
     i64, ptr = ctypes.c_longlong, ctypes.c_void_p
-    fn.argtypes = [i64, ctypes.c_int, i64, i64,
-                   ptr, ptr, i64, ptr, ptr, i64,
-                   ptr, ptr, ptr, ptr, ptr,
-                   ptr, ptr, ptr, ptr]
+    fn.argtypes = [i64, ctypes.c_int, i64, i64, ptr, ptr, i64, ptr, ptr, i64,
+                   ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     fn.restype = ctypes.c_int
-    return fn
+
+    def schedule(n_servers: int, aligned: bool, horizon: int, warmup: int,
+                 short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
+        # an array's `.ctypes` passes its data pointer; None passes NULL
+        records = [r.ctypes for r in out.records] if out.records else [None] * 5
+        return fn(n_servers, aligned, horizon, warmup,
+                  short.arrivals.ctypes, short.services.ctypes, short.limit,
+                  long_.arrivals.ctypes, long_.services.ctypes, long_.limit,
+                  out.busy.ctypes, out.soj_s.ctypes, out.soj_l.ctypes,
+                  out.acc.ctypes, out.cnt.ctypes, *records)
+    return schedule
 
 
 def _scheduler():
     """The compiled loop when it builds, else the Python reference."""
-    kernel = _kernel()
-    return _schedule_py if kernel is None else functools.partial(_schedule_c, kernel)
-
-
-def _ptr(a: np.ndarray | None) -> int | None:
-    return None if a is None else a.ctypes.data
-
-
-def _schedule_c(kernel, n_servers: int, aligned: bool, horizon: int, warmup: int,
-                short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
-    return kernel(
-        n_servers, int(aligned), horizon, warmup,
-        _ptr(short.arrivals), _ptr(short.services), short.limit,
-        _ptr(long_.arrivals), _ptr(long_.services), long_.limit,
-        _ptr(out.busy), _ptr(out.soj_s), _ptr(out.soj_l), _ptr(out.acc), _ptr(out.cnt),
-        _ptr(out.rec_cls), _ptr(out.rec_idx), _ptr(out.rec_start), _ptr(out.rec_srv),
-    )
+    return _kernel() or _schedule_py
 
 
 def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
@@ -442,14 +421,14 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     """Reference for `_schedule.c`: the same operations in the same order."""
     arr_s, dur_s, lim_s = short.arrivals.tolist(), short.services.tolist(), short.limit
     arr_l, dur_l, lim_l = long_.arrivals.tolist(), long_.services.tolist(), long_.limit
-    collect = out.rec_cls is not None
+    collect = out.records is not None
     ceil = math.ceil
     free = [0.0] * n_servers
     busy = [0.0] * n_servers
     soj_s: list[float] = []
     soj_l: list[float] = []
     records: list[tuple] = []
-    ns = nl = hs = hl = started = n_arr = 0
+    ns = nl = hs = hl = started = 0
     n_int = t_w = t = 0.0
     warm = False
 
@@ -460,13 +439,10 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
             avail = float(ceil(a)) if aligned else a
             if avail > t:
                 t = avail
-        ns0, nl0 = ns, nl
         while arr_s[ns] <= t:
             ns += 1
         while arr_l[nl] <= t:
             nl += 1
-        if warm:
-            n_arr += (ns - ns0) + (nl - nl0)
         if ns == lim_s or nl == lim_l:
             return _NEED_MORE
 
@@ -474,13 +450,11 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
             if free[j] > t:
                 continue
             if hs < ns:
-                cls, i = 0, hs
+                cls, arr, dur = 0, arr_s[hs], dur_s[hs]
                 hs += 1
-                arr, dur = arr_s[i], dur_s[i]
             elif hl < nl:
-                cls, i = 1, hl
+                cls, arr, dur = 1, arr_l[hl], dur_l[hl]
                 hl += 1
-                arr, dur = arr_l[i], dur_l[i]
             else:
                 break
             if started == warmup:
@@ -498,7 +472,7 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
                 n_int += dep - (arr if arr > t_w else t_w)
                 (soj_l if cls else soj_s).append(dep - arr)
             if collect:
-                records.append((cls, i, t, j))
+                records.append((cls, arr, dur, t, j))
             started += 1
             if started == horizon:
                 break
@@ -520,13 +494,10 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     out.soj_s[: len(soj_s)] = soj_s
     out.soj_l[: len(soj_l)] = soj_l
     out.acc[:] = (n_int, t_w, t)
-    out.cnt[:] = (n_arr, ns, nl, len(soj_s), len(soj_l))
+    out.cnt[:] = (ns, nl, len(soj_s), len(soj_l))
     if collect:
-        cls, idx, start, srv = zip(*records)
-        out.rec_cls[:] = cls
-        out.rec_idx[:] = idx
-        out.rec_start[:] = start
-        out.rec_srv[:] = srv
+        for column, values in zip(out.records, zip(*records)):
+            column[:] = values
     return _DONE
 
 
@@ -537,39 +508,31 @@ _NO_EVENTS = (np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empt
 _TRACE_CHUNK = 65536
 
 
-def _record_times(short: _ClassDraws, long_: _ClassDraws, out: _Schedule):
-    """(arrival, duration, start, departure) of every start, in slot units."""
-    # index both classes' arrays at once: long indices shift past the short ones
-    at = out.rec_idx + len(short.arrivals) * out.rec_cls.astype(np.int64)
-    arrival = np.concatenate((short.arrivals, long_.arrivals))[at]
-    duration = np.concatenate((short.services, long_.services))[at]
-    return arrival, duration, out.rec_start, out.rec_start + duration
-
-
-def _packets(out: _Schedule, times, scale: float) -> tuple[Packet, ...]:
+def _packets(out: _Schedule, scale: float) -> tuple[Packet, ...]:
+    cls, arrival, duration, start, server = out.records
+    times = (arrival, duration, start, start + duration)
     return tuple(
         Packet(_KINDS[c], a, d, s, e, j)
         for c, a, d, s, e, j in zip(
-            out.rec_cls.tolist(), *((x * scale).tolist() for x in times),
-            out.rec_srv.tolist(),
+            cls.tolist(), *((x * scale).tolist() for x in times), server.tolist(),
         )
     )
 
 
-def _trace_events(out: _Schedule, times, short: _ClassDraws, long_: _ClassDraws) -> tuple:
+def _trace_events(out: _Schedule, short_arrivals: np.ndarray,
+                  long_arrivals: np.ndarray) -> tuple:
     """The trace's events in the order the schedule made them: arrivals, short
     before long, then starts and departures in start order. `_write_trace`
     sorts them stably, so that order settles ties of time and rank."""
-    _, _, start, departure = times
-    n_short, n_long = out.cnt[1:3].tolist()
-    n_arr, n_starts = n_short + n_long, len(start)
+    cls, _, duration, start, server = out.records
+    n_short, n_long, n_starts = len(short_arrivals), len(long_arrivals), len(start)
+    n_arr = n_short + n_long
     return (
-        np.concatenate((short.arrivals[:n_short], long_.arrivals[:n_long], start, departure)),
+        np.concatenate((short_arrivals, long_arrivals, start, start + duration)),
         np.concatenate((np.full(n_arr, _ARRIVAL, np.uint8), np.full(n_starts, _START, np.uint8),
                         np.full(n_starts, _DEPART, np.uint8))),
-        np.concatenate((np.zeros(n_short, np.uint8), np.ones(n_long, np.uint8),
-                        out.rec_cls, out.rec_cls)),
-        np.concatenate((np.full(n_arr, -1), out.rec_srv, out.rec_srv)),
+        np.concatenate((np.zeros(n_short, np.uint8), np.ones(n_long, np.uint8), cls, cls)),
+        np.concatenate((np.full(n_arr, -1), server, server)),
     )
 
 
@@ -615,7 +578,6 @@ def sweep(
     horizon: int,
     warmup: int | None = None,
     seed_base: int = 0,
-    **run_kwargs,
 ) -> list[SweepPoint]:
     """Independent runs over utilization points.
 
@@ -627,7 +589,7 @@ def sweep(
     for i, rho in enumerate(rho_list):
         try:
             config = scenario.config_for(rho)
-            summary = run(config, topology, horizon, warmup, seed=seed_base + i, **run_kwargs)
+            summary = run(config, topology, horizon, warmup, seed=seed_base + i)
             points.append(SweepPoint(rho, summary, None))
         except (SaturationError, ValueError) as exc:
             points.append(SweepPoint(rho, None, str(exc)))

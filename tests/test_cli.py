@@ -3,9 +3,11 @@
 import csv
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
+from tddq import cli
 from tddq.cli import main
 
 FIG3_LIKE = """
@@ -216,6 +218,24 @@ class TestValidate:
         assert re.search(r"^mm1-sanity\s+PASS", report, re.MULTILINE)
         assert report.endswith("all 5 checks passed\n")
 
+    def test_short_horizon_passes(self, capsys):
+        # busy fraction 0.0123 off rho here: inside 4 sigma of a 20 000-departure run
+        rc = main(["validate", "--horizon", "20000", "--seed", "11"])
+        out = capsys.readouterr().out
+        assert re.search(r"^littles-law-and-busy\s+PASS", out, re.MULTILINE)
+        assert rc == 0
+
+    def test_shifted_busy_fraction_fails(self, monkeypatch, capsys):
+        def shifted(*args, run=cli.run, **kwargs):
+            summary = run(*args, **kwargs)
+            return replace(summary, busy_fraction=tuple(b + 0.02 for b in summary.busy_fraction))
+
+        monkeypatch.setattr(cli, "run", shifted)
+        rc = main(["validate"])
+        out = capsys.readouterr().out
+        assert re.search(r"^littles-law-and-busy\s+FAIL", out, re.MULTILINE)
+        assert rc == 1
+
     def test_tampered_tolerance_fails(self, capsys):
         rc = main(["validate", "--horizon", "60000", "--mm1-tol", "1e-9"])
         out = capsys.readouterr().out
@@ -251,13 +271,27 @@ class TestBadInput:
          "--empirical-samples"),
         (["cycle-time", "--samples", "0"], "--samples"),
         (["cycle-time", "--samples", "many"], "--samples"),
+        (["sojourn-sweep", "--horizon", "0"], "--horizon"),
+        (["validate", "--horizon", "-5"], "--horizon"),
+        (["sojourn-sweep", "--warmup", "-1"], "--warmup"),
     ], ids=["rho-word", "rho-list-entry", "empirical-samples-word",
-            "cycle-samples-0", "cycle-samples-word"])
+            "cycle-samples-0", "cycle-samples-word", "sweep-horizon-0",
+            "validate-horizon-negative", "sweep-warmup-negative"])
     def test_malformed_number_names_flag(self, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon, warmup", [("100", "100"), ("100", "150")],
+                             ids=["equal", "above"])
+    def test_warmup_must_be_below_horizon(self, tmp_path, capsys, horizon, warmup):
+        out = tmp_path / "x.csv"
+        rc = main(["sojourn-sweep", "--horizon", horizon, "--warmup", warmup,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error: --warmup" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys):
         rc = main(["sojourn-sweep", "--config", "/nonexistent/x.cfg", "--out", "-"])

@@ -8,8 +8,9 @@ that the fixed seeds meet with margin.
 """
 
 import csv
-import functools
 import math
+import shutil
+import subprocess
 from unittest import mock
 
 import numpy as np
@@ -77,6 +78,13 @@ class TestEmptyAndErrors:
     def test_horizon_must_exceed_warmup(self):
         with pytest.raises(ValueError):
             run(MM1_CONFIG, Topology.COUPLED, 100, warmup=100, seed=1)
+
+    @pytest.mark.parametrize("horizon, warmup", [(100, 100), (0, None)],
+                             ids=["warmup-equals-horizon", "zero-horizon"])
+    def test_horizon_must_exceed_warmup_without_traffic(self, horizon, warmup):
+        config = TrafficConfig(0.0, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
+        with pytest.raises(ValueError, match="horizon must exceed warmup"):
+            run(config, Topology.COUPLED, horizon, warmup=warmup, seed=1)
 
     def test_exponential_service_requires_unaligned(self):
         with pytest.raises(ValueError):
@@ -294,7 +302,7 @@ def compiled_kernel():
     kernel = sim._kernel()
     if kernel is None:
         pytest.skip("no working C compiler")
-    return functools.partial(sim._schedule_c, kernel)
+    return kernel
 
 
 def run_on(scheduler, trace_path, **kwargs):
@@ -348,6 +356,17 @@ class TestCompiledKernel:
             second = run(*args, seed=8, keep_packets=True)
         assert len(caught) == 1
         assert first == expected and second == expected
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # run() builds the kernel with its compiler output dropped; this shows it
+        if shutil.which(sim._CC) is None:
+            pytest.skip(f"no {sim._CC} compiler")
+        result = subprocess.run(
+            [sim._CC, "-std=c99", "-O2", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+             "-ffp-contract=off", "-c", str(sim._SOURCE), "-o", str(tmp_path / "schedule.o")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_work_conservation_breach_raises(self, monkeypatch):
         monkeypatch.setattr(sim, "_scheduler", lambda: lambda *args: sim._BREACH)
