@@ -18,7 +18,16 @@ from .analytic import (
     mg2_priority_sojourn,
     residual_cdf,
 )
-from .sim import ClassStats, Packet, SojournSummary, SweepPoint, Topology, run, sweep
+from .sim import (
+    ClassStats,
+    Packet,
+    PacketColumns,
+    SojournSummary,
+    SweepPoint,
+    Topology,
+    run,
+    sweep,
+)
 from .traffic import (
     ChannelModel,
     RateAdaptationTable,
@@ -64,6 +73,7 @@ __all__ = [
     "cycle_time_stats",
     "Topology",
     "Packet",
+    "PacketColumns",
     "ClassStats",
     "SojournSummary",
     "SweepPoint",

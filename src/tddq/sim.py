@@ -16,19 +16,21 @@ twice the size, from the same seeds. The boundary loop schedules them: the
 C kernel in `_schedule.c`, compiled on first use, or its bit-identical Python
 reference `_schedule_py`; each start's record carries its own arrival and
 duration. Statistics, packets and the trace are then built from what the loop
-wrote.
+wrote: packets as one `PacketColumns` record of read-only arrays, which yields
+`Packet` rows only when iterated, and the trace as CSV rows that end in CRLF.
 """
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
+import itertools
 import math
 import os
 import subprocess
 import tempfile
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -48,6 +50,7 @@ from .traffic import (
 __all__ = [
     "Topology",
     "Packet",
+    "PacketColumns",
     "ClassStats",
     "SojournSummary",
     "SweepPoint",
@@ -70,7 +73,7 @@ class Topology(Enum):
 
 @dataclass(frozen=True)
 class Packet:
-    """One simulated packet (materialized only when requested)."""
+    """One simulated packet, as a row of `PacketColumns`."""
 
     kind: str  # "short" | "long"
     arrival_time: float
@@ -85,6 +88,48 @@ class Packet:
         tol = 1e-9 * max(1.0, abs(self.departure_time))
         if abs(self.departure_time - (self.start_time + self.service_duration)) > tol:
             raise ValueError("departure must equal start + service duration")
+
+
+_KINDS = ("short", "long")
+_CHUNK = 16384  # rows turned into Python objects at a time
+
+
+@dataclass(frozen=True, eq=False)
+class PacketColumns:
+    """Every served packet of a run, as read-only columns in start order.
+
+    Times are in real units; `class_code` is 0 for short and 1 for long.
+    Iterating yields one `Packet` per start, built (and checked) on demand.
+    """
+
+    class_code: np.ndarray
+    arrival_time: np.ndarray
+    service_duration: np.ndarray
+    start_time: np.ndarray
+    departure_time: np.ndarray
+    server: np.ndarray
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.class_code, self.arrival_time, self.service_duration,
+                self.start_time, self.departure_time, self.server)
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.start_time)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PacketColumns):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+
+    def __iter__(self) -> Iterator[Packet]:
+        for lo in range(0, len(self), _CHUNK):
+            part = (column[lo:lo + _CHUNK].tolist() for column in self._columns())
+            for c, a, d, s, e, j in zip(*part):
+                yield Packet(_KINDS[c], a, d, s, e, j)
 
 
 @dataclass(frozen=True)
@@ -108,7 +153,7 @@ class SojournSummary:
     warmup_discarded: int
     seed: int
     converged: bool
-    packets: tuple[Packet, ...] | None = None
+    packets: PacketColumns | None = None
 
     @property
     def mean_busy_fraction(self) -> float:
@@ -157,7 +202,7 @@ def _empty_summary(n_servers: int, warmup: int, seed: int, keep_packets: bool) -
         warmup_discarded=warmup,
         seed=seed,
         converged=True,
-        packets=() if keep_packets else None,
+        packets=_packet_columns(_NO_RECORDS, 1.0) if keep_packets else None,
     )
 
 
@@ -191,6 +236,12 @@ def run(
     both available; `exponential_service=True` additionally replaces the
     deterministic/table durations by exponentials with the same means. Both
     exist for closed-form oracle checks only.
+
+    `keep_packets=True` returns every served packet, warmup included, as
+    `summary.packets`: a `PacketColumns` record of read-only arrays in start
+    order, which yields `Packet` rows when iterated. `trace_path` writes the
+    event CSV (`time,event,class,server,queue_len_short,queue_len_long`),
+    one row per arrival, start and departure, each ending in CRLF.
     """
     if warmup is None:
         warmup = horizon // 10
@@ -249,9 +300,7 @@ def run(
     # arrivals are those after its opening boundary, up to its closing one
     n_arr = (n_short + n_long - int(np.searchsorted(short.arrivals, t_w, "right"))
              - int(np.searchsorted(long_.arrivals, t_w, "right")))
-    packets = None
-    if keep_packets:
-        packets = _packets(out, slot)
+    packets = _packet_columns(out.records, slot) if keep_packets else None
     if trace_path:
         _write_trace(trace_path, _trace_events(out, short.arrivals[:n_short],
                                                long_.arrivals[:n_long]), slot)
@@ -501,22 +550,19 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     return _DONE
 
 
-_KINDS = ("short", "long")
 _DEPART, _START, _ARRIVAL = 0, 1, 2  # trace ranks: the order of simultaneous events
 _EVENT_NAMES = ("depart", "start", "arrival")
+_NO_RECORDS = (np.empty(0, np.uint8), np.empty(0), np.empty(0), np.empty(0),
+               np.empty(0, np.int64))
 _NO_EVENTS = (np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empty(0, np.int64))
-_TRACE_CHUNK = 65536
+_TRACE_HEADER = "time,event,class,server,queue_len_short,queue_len_long\r\n"
+_TRACE_ROW = "%.9g,%s,%d,%d\r\n"
 
 
-def _packets(out: _Schedule, scale: float) -> tuple[Packet, ...]:
-    cls, arrival, duration, start, server = out.records
-    times = (arrival, duration, start, start + duration)
-    return tuple(
-        Packet(_KINDS[c], a, d, s, e, j)
-        for c, a, d, s, e, j in zip(
-            cls.tolist(), *((x * scale).tolist() for x in times), server.tolist(),
-        )
-    )
+def _packet_columns(records: tuple, scale: float) -> PacketColumns:
+    cls, arrival, duration, start, server = records
+    return PacketColumns(cls, arrival * scale, duration * scale, start * scale,
+                         (start + duration) * scale, server)
 
 
 def _trace_events(out: _Schedule, short_arrivals: np.ndarray,
@@ -541,7 +587,8 @@ def _write_trace(path: str, events: tuple, scale: float) -> None:
 
     `events` holds parallel arrays (time in slots, rank, class 0 short /
     1 long, server or -1); rows come out by time, then rank, and otherwise in
-    the order given.
+    the order given. Times keep 9 significant digits (`%.9g`) and rows end
+    in CRLF, as `csv.writer` wrote them.
     """
     time, rank, cls, server = events
     order = np.lexsort((rank, time))
@@ -550,18 +597,20 @@ def _write_trace(path: str, events: tuple, scale: float) -> None:
     step = (rank == _ARRIVAL).astype(np.int64) - (rank == _START)
     q_short = np.cumsum(np.where(cls == 0, step, 0))
     q_long = np.cumsum(np.where(cls == 1, step, 0))
+    # one "event,class,server" string per (rank, class, server or -1)
+    width = int(server.max()) + 2 if len(server) else 1
+    labels = np.array([f"{_EVENT_NAMES[r]},{_KINDS[c]},{j if j >= 0 else ''}"
+                       for r in range(3) for c in range(2) for j in range(-1, width - 1)],
+                      dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "event", "class", "server", "queue_len_short", "queue_len_long"])
-        for lo in range(0, len(time), _TRACE_CHUNK):
-            part = slice(lo, lo + _TRACE_CHUNK)
-            w.writerows(
-                [format(t, ".9g"), _EVENT_NAMES[r], _KINDS[c], j if j >= 0 else "", qs, ql]
-                for t, r, c, j, qs, ql in zip(
-                    (time[part] * scale).tolist(), rank[part].tolist(), cls[part].tolist(),
-                    server[part].tolist(), q_short[part].tolist(), q_long[part].tolist(),
-                )
-            )
+        fh.write(_TRACE_HEADER)
+        for lo in range(0, len(time), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            key = (rank[part].astype(np.int64) * 2 + cls[part]) * width + server[part] + 1
+            fields = zip((time[part] * scale).tolist(), labels[key].tolist(),
+                         q_short[part].tolist(), q_long[part].tolist())
+            # one % formats the whole chunk: a template per row, joined
+            fh.write((_TRACE_ROW * len(key)) % tuple(itertools.chain.from_iterable(fields)))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ class TestEmptyAndErrors:
         s = run(config, Topology.COUPLED, 1000, seed=1, keep_packets=True)
         assert s.short.count == 0 and s.long.count == 0
         assert s.busy_fraction == (0.0,)
-        assert s.packets == ()
+        assert len(s.packets) == 0
         assert s.converged
 
     def test_horizon_must_exceed_warmup(self):
@@ -105,57 +105,96 @@ def packets_decoupled():
 
 class TestSchedulingInvariants:
     def test_slot_aligned_starts(self, packets_coupled):
-        for p in packets_coupled:
-            k = p.start_time  # slot length 1
-            assert abs(k - round(k)) < 1e-9
-            assert p.start_time >= p.arrival_time
+        start = packets_coupled.start_time  # slot length 1
+        np.testing.assert_allclose(start, np.round(start), rtol=0, atol=1e-9)
+        assert np.all(start >= packets_coupled.arrival_time)
 
     def test_departure_equals_start_plus_service(self, packets_coupled):
-        for p in packets_coupled:
-            assert p.departure_time == pytest.approx(
-                p.start_time + p.service_duration, abs=1e-9
-            )
+        p = packets_coupled
+        np.testing.assert_allclose(p.departure_time, p.start_time + p.service_duration,
+                                   rtol=0, atol=1e-9)
 
     def test_service_durations_from_table(self, packets_coupled):
-        for p in packets_coupled:
-            if p.kind == "short":
-                assert p.service_duration == 1.0
-            else:
-                assert p.service_duration in (15.0, 10.0, 2.0)
+        is_short = packets_coupled.class_code == 0
+        durations = packets_coupled.service_duration
+        assert np.all(durations[is_short] == 1.0)
+        assert np.all(np.isin(durations[~is_short], (15.0, 10.0, 2.0)))
 
     @pytest.mark.parametrize("fixture", ["packets_coupled", "packets_decoupled"])
     def test_fifo_start_order_within_class(self, fixture, request):
         packets = request.getfixturevalue(fixture)
-        for kind in ("short", "long"):
-            arrivals = [p.arrival_time for p in packets if p.kind == kind]
-            assert arrivals == sorted(arrivals)  # packets come out in start order
+        for code in (0, 1):
+            arrivals = packets.arrival_time[packets.class_code == code]
+            assert np.all(np.diff(arrivals) >= 0)  # packets come out in start order
 
     def test_fifo_departure_order_same_server(self, packets_decoupled):
+        p = packets_decoupled
         for server in (0, 1):
-            for kind in ("short", "long"):
-                deps = [p.departure_time for p in packets_decoupled
-                        if p.kind == kind and p.server == server]
-                assert deps == sorted(deps)
+            for code in (0, 1):
+                deps = p.departure_time[(p.class_code == code) & (p.server == server)]
+                assert len(deps) and np.all(np.diff(deps) >= 0)
+
+    @pytest.mark.parametrize("fixture", ["packets_coupled", "packets_decoupled"])
+    def test_strict_priority_no_long_start_while_short_waits(self, fixture, request):
+        packets = request.getfixturevalue(fixture)
+        is_short = packets.class_code == 0
+        long_starts = packets.start_time[~is_short]  # in start order, so sorted
+        # long starts inside each short packet's wait [arrival, start)
+        inside = (np.searchsorted(long_starts, packets.start_time[is_short])
+                  - np.searchsorted(long_starts, packets.arrival_time[is_short]))
+        assert not inside.any()
 
     def test_priority_short_beats_long(self, packets_coupled):
-        shorts = [p.departure_time - p.arrival_time for p in packets_coupled
-                  if p.kind == "short"]
-        longs = [p.departure_time - p.arrival_time for p in packets_coupled
-                 if p.kind == "long"]
-        assert np.mean(shorts) < np.mean(longs)
+        p = packets_coupled
+        sojourn = p.departure_time - p.arrival_time
+        assert sojourn[p.class_code == 0].mean() < sojourn[p.class_code == 1].mean()
 
     def test_decoupled_uses_both_servers(self, packets_decoupled):
-        assert {p.server for p in packets_decoupled} == {0, 1}
+        assert set(np.unique(packets_decoupled.server).tolist()) == {0, 1}
 
     def test_alignment_only_waiters_average_half_slot(self):
         # mu_short=2: slot 0.5, light load so most packets wait only to align
         table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(0.5,))
         config = TrafficConfig(0.05, 0.01, 2.0, ChannelModel(1.0), table)
         s = run(config, Topology.COUPLED, 40_000, 4_000, seed=5, keep_packets=True)
-        waits = [p.start_time - p.arrival_time for p in s.packets
-                 if p.start_time - p.arrival_time < 0.5]
+        waits = s.packets.start_time - s.packets.arrival_time
+        waits = waits[waits < 0.5]
         assert len(waits) > 10_000
         assert np.mean(waits) == pytest.approx(0.25, rel=0.02)
+
+
+class TestPacketColumns:
+    def test_columns_are_read_only(self, packets_coupled):
+        for name in ("class_code", "arrival_time", "service_duration", "start_time",
+                     "departure_time", "server"):
+            with pytest.raises(ValueError):
+                getattr(packets_coupled, name)[0] = 0
+
+    def test_one_packet_per_departure(self, packets_coupled):
+        assert len(packets_coupled) == 30_000
+
+    def test_rows_equal_columns(self, packets_decoupled):
+        p = packets_decoupled
+        rows = list(p)
+        assert all(isinstance(row, Packet) for row in rows)
+        assert [r.kind for r in rows] == [("short", "long")[c] for c in p.class_code.tolist()]
+        for name in ("arrival_time", "service_duration", "start_time", "departure_time",
+                     "server"):
+            assert [getattr(r, name) for r in rows] == getattr(p, name).tolist()
+
+    def test_equality_is_column_by_column(self, packets_coupled):
+        again = run(fig3_config(0.6), Topology.COUPLED, 30_000, 1_000, seed=21,
+                    keep_packets=True).packets
+        other = run(fig3_config(0.6), Topology.COUPLED, 30_000, 1_000, seed=22,
+                    keep_packets=True).packets
+        assert again == packets_coupled
+        assert other != packets_coupled
+
+    def test_empty_run_gives_empty_record(self):
+        config = TrafficConfig(0.0, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
+        packets = run(config, Topology.DECOUPLED, 1000, seed=1, keep_packets=True).packets
+        assert isinstance(packets, sim.PacketColumns)
+        assert len(packets) == 0 and list(packets) == []
 
 
 class TestConservation:
@@ -228,6 +267,39 @@ class TestSweep:
         assert pts[2].error is None and pts[2].summary is not None
 
 
+def reference_write_trace(path, events, scale):
+    """The trace writer as it was built on `csv.writer`, kept to pin its bytes."""
+    time, rank, cls, server = events
+    order = np.lexsort((rank, time))
+    time, rank, cls, server = time[order], rank[order], cls[order], server[order]
+    step = (rank == 2).astype(np.int64) - (rank == 1)
+    q_short = np.cumsum(np.where(cls == 0, step, 0))
+    q_long = np.cumsum(np.where(cls == 1, step, 0))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "event", "class", "server", "queue_len_short", "queue_len_long"])
+        w.writerows(
+            [format(t, ".9g"), ("depart", "start", "arrival")[r], ("short", "long")[c],
+             j if j >= 0 else "", qs, ql]
+            for t, r, c, j, qs, ql in zip(
+                (time * scale).tolist(), rank.tolist(), cls.tolist(), server.tolist(),
+                q_short.tolist(), q_long.tolist(),
+            )
+        )
+
+
+@st.composite
+def trace_events(draw):
+    """Event arrays for 1 or 2 servers, with times tied and in exponent form."""
+    n_servers = draw(st.sampled_from([1, 2]))
+    time = st.one_of(st.sampled_from([1e-6, 1.0, 2.0, 3.5]), st.floats(1e-6, 1e16))
+    rows = draw(st.lists(st.tuples(time, st.integers(0, 2), st.integers(0, 1),
+                                   st.integers(-1, n_servers - 1)), max_size=40))
+    time, rank, cls, server = zip(*rows) if rows else ((),) * 4
+    return (np.array(time, dtype=float), np.array(rank, np.uint8),
+            np.array(cls, np.uint8), np.array(server, np.int64))
+
+
 class TestTrace:
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -264,6 +336,14 @@ class TestTrace:
         packet_starts = sorted(p.start_time for p in s.packets)
         assert trace_starts == pytest.approx(packet_starts)
         assert all(abs(t / 0.5 - round(t / 0.5)) < 1e-9 for t in trace_starts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace_events(), st.sampled_from([1.0, 0.5, 0.25]))
+    def test_writer_matches_csv_module_reference(self, tmp_path_factory, events, scale):
+        tmp = tmp_path_factory.mktemp("trace")
+        sim._write_trace(str(tmp / "new.csv"), events, scale)
+        reference_write_trace(str(tmp / "ref.csv"), events, scale)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
     def test_packet_type_validation(self):
         with pytest.raises(ValueError):
