@@ -304,8 +304,8 @@ def cycle_time_stats(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if model.decoupled:
-        res_a = model.residual.sample(rng, (n_samples, 2)).min(axis=1)
-        res_b = model.residual.sample(rng, (n_samples, 2)).min(axis=1)
+        res_a = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
+        res_b = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
     else:
         res_a = model.residual.sample(rng, n_samples)
         res_b = model.residual.sample(rng, n_samples)

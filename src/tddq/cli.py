@@ -155,7 +155,7 @@ def cmd_residual_cdf(args: argparse.Namespace) -> int:
     model = _residual_model(args)
     rng = np.random.default_rng(args.seed)
     emp_coupled = np.sort(model.sample(rng, n))
-    emp_decoupled = np.sort(model.sample(rng, (n, 2)).min(axis=1))
+    emp_decoupled = np.sort(np.minimum(*model.sample(rng, (n, 2)).T))
     grid = np.arange(0.0, args.s_long + args.grid_step / 2, args.grid_step)
     with _open_out(args.out) as fh:
         w = csv.writer(fh)

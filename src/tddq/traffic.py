@@ -9,6 +9,7 @@ event simulator) consumes the service moments and utilizations computed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,6 +82,8 @@ class RateAdaptationTable:
         object.__setattr__(self, "rates", rates)
         if len(thresholds) < 2:
             raise ValueError("need at least one region (two thresholds)")
+        if any(math.isnan(t) for t in thresholds):
+            raise ValueError(f"thresholds must not be NaN: {thresholds}")
         if thresholds[0] != 0.0:
             raise ValueError(f"first threshold must be 0, got {thresholds[0]}")
         if not math.isinf(thresholds[-1]):
@@ -91,8 +94,8 @@ class RateAdaptationTable:
             raise ValueError(
                 f"{len(rates)} rates for {len(thresholds) - 1} regions"
             )
-        if any(r <= 0 for r in rates):
-            raise ValueError(f"rates must be positive: {rates}")
+        if not all(0.0 < r < math.inf for r in rates):
+            raise ValueError(f"rates must be positive and finite: {rates}")
         if any(a > b for a, b in zip(rates, rates[1:])):
             raise ValueError(
                 f"rates must be non-decreasing with channel quality: {rates}"
@@ -117,6 +120,9 @@ class RateAdaptationTable:
         Durations must be non-increasing: the region above the last threshold
         gets the shortest TTI.
         """
+        if not all(0.0 < d < math.inf for d in durations):
+            raise ValueError(
+                f"long TTI durations must be positive and finite: {tuple(durations)}")
         return cls.from_db_thresholds(inner_thresholds_db, tuple(1.0 / d for d in durations))
 
     @property
@@ -144,12 +150,31 @@ def region_probabilities(channel: ChannelModel, table: RateAdaptationTable) -> n
 
 
 def long_service_moments(channel: ChannelModel, table: RateAdaptationTable) -> tuple[float, float]:
-    """First and second moment of the long-packet service time."""
+    """First and second moment of the long-packet service time.
+
+    Computed once per (channel, table): both are frozen, so equal pairs
+    share one cached result.
+    """
+    return _long_service_moments(channel, table)
+
+
+@functools.lru_cache
+def _long_service_moments(channel: ChannelModel, table: RateAdaptationTable) -> tuple[float, float]:
     p = region_probabilities(channel, table)
     mu = np.asarray(table.rates, dtype=float)
     first = float(np.sum(p / mu))
     second = float(np.sum(p / mu**2))
     return first, second
+
+
+def _check_mu_short(mu_short: float) -> None:
+    if not 0.0 < mu_short < math.inf:
+        raise ValueError(f"mu_short must be positive and finite, got {mu_short}")
+
+
+def _check_lambda_ratio(ratio: float) -> None:
+    if not 0.0 <= ratio < math.inf:
+        raise ValueError(f"lambda_ratio must be finite and >= 0, got {ratio}")
 
 
 def _check_slot_alignment(table: RateAdaptationTable, slot: float) -> None:
@@ -178,10 +203,11 @@ class TrafficConfig:
     table: RateAdaptationTable
 
     def __post_init__(self) -> None:
-        if self.lambda_short < 0 or self.lambda_long < 0:
-            raise ValueError("arrival rates must be >= 0")
-        if not self.mu_short > 0:
-            raise ValueError("mu_short must be > 0")
+        for name, rate in (("lambda_short", self.lambda_short),
+                           ("lambda_long", self.lambda_long)):
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
+        _check_mu_short(self.mu_short)
         _check_slot_alignment(self.table, self.slot)
         utilization(self)  # rejects saturated settings up front
 
@@ -226,10 +252,8 @@ def solve_arrival_rates(
     """
     if not (0.0 < target_rho < 1.0):
         raise SaturationError(f"target utilization must lie in (0, 1), got {target_rho}")
-    if ratio < 0:
-        raise ValueError(f"ratio must be >= 0, got {ratio}")
-    if not mu_short > 0:
-        raise ValueError("mu_short must be > 0")
+    _check_lambda_ratio(ratio)
+    _check_mu_short(mu_short)
     e_l, _ = long_service_moments(channel, table)
     lam_s = target_rho / (ratio * e_l + 1.0 / mu_short)
     return lam_s, ratio * lam_s
@@ -274,6 +298,10 @@ class Scenario:
     mu_short: float
     lambda_ratio: float
     rho_list: tuple[float, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        _check_mu_short(self.mu_short)
+        _check_lambda_ratio(self.lambda_ratio)
 
     def config_for(self, rho: float) -> TrafficConfig:
         """TrafficConfig at one utilization point of this scenario."""

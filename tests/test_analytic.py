@@ -364,6 +364,21 @@ class TestCycleTime:
         mean, _ = cycle_time_stats(dec, 200_000, np.random.default_rng(10))
         assert mean == pytest.approx(2.0 * (1.0 + 1.0) + 0.0, rel=5e-3)
 
+    @pytest.mark.parametrize("residual", [
+        ResidualModel.exponential(0.7, 10.0),
+        ResidualModel.truncated_exponential(0.7, 10.0),
+        ResidualModel.uniform(10.0),
+        ResidualModel.empirical([0.5, 2.0, 7.5], 10.0),
+    ], ids=lambda r: r.family)
+    def test_decoupled_draw_is_min_of_two(self, residual):
+        n, seed = 10_000, 31
+        model = CycleTimeModel(1.0, 2.0, residual, decoupled=True)
+        _, samples = cycle_time_stats(model, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        res_a = residual.sample(rng, (n, 2)).min(axis=1)
+        res_b = residual.sample(rng, (n, 2)).min(axis=1)
+        assert samples.tobytes() == (2.0 * 1.0 + 2.0 + res_a + res_b).tobytes()
+
     def test_decoupled_never_slower(self):
         residual = ResidualModel.truncated_exponential(0.4, 10.0)
         rng = np.random.default_rng(5)

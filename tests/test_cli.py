@@ -5,9 +5,10 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from tddq import cli
+from tddq import ResidualModel, cli
 from tddq.cli import main
 
 FIG3_LIKE = """
@@ -136,6 +137,25 @@ class TestResidualCdf:
             # Glivenko-Cantelli: max grid gap < 0.01 at 10^5 samples
             assert abs(float(row["empirical_coupled"]) - float(row["cdf_coupled"])) < 0.01
             assert abs(float(row["empirical_decoupled"]) - float(row["cdf_decoupled"])) < 0.01
+
+    @pytest.mark.parametrize("model, flags", [
+        (ResidualModel.exponential(0.7, 10.0), ["--rate", "0.7"]),
+        (ResidualModel.truncated_exponential(0.7, 10.0), ["--rate", "0.7"]),
+        (ResidualModel.uniform(10.0), []),
+        (ResidualModel.empirical([0.5, 2.0, 7.5], 10.0), ["--empirical-samples", "0.5,2,7.5"]),
+    ], ids=["exponential", "truncated-exponential", "uniform", "empirical"])
+    def test_empirical_decoupled_is_min_of_two(self, tmp_path, model, flags):
+        n, seed = 5000, 21
+        out = tmp_path / "res.csv"
+        assert main(["residual-cdf", "--family", model.family, *flags, "--s-long", "10",
+                     "--samples", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+        rng = np.random.default_rng(seed)
+        model.sample(rng, n)  # the empirical_coupled draw comes first
+        decoupled = np.sort(model.sample(rng, (n, 2)).min(axis=1))
+        grid = np.arange(0.0, 10.0 + 0.05, 0.1)  # the default --grid-step
+        expected = [format(float(np.searchsorted(decoupled, y, side="right") / n), ".9g")
+                    for y in grid]
+        assert [r["empirical_decoupled"] for r in read_rows(out)] == expected
 
     def test_uniform_family(self, tmp_path):
         out = tmp_path / "res.csv"
@@ -291,6 +311,23 @@ class TestBadInput:
                    "--out", str(out)])
         assert rc == 2
         assert "error: --warmup" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, field", [
+        ("mu_short = inf", "mu_short"),
+        ("long_ttis = 15, 0, 2", "durations"),
+        ("lambda_ratio = nan", "lambda_ratio"),
+        ("thresholds_db = 0, nan", "thresholds"),
+    ])
+    def test_nonfinite_or_zero_scenario_values(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        rc = main(["sojourn-sweep", "--config", str(cfg), "--rho", "0.5",
+                   "--horizon", "2000", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):

@@ -1,0 +1,26 @@
+"""The public functions of each layer stay plain functions of that layer.
+
+The per-layer timing spans wrap every public function that
+`inspect.isfunction` accepts and that its own module defines. A decorator
+that turns a public function into another kind of callable (for example
+`functools.cache`, whose result is not a function) would silently drop that
+function from the spans, so cache a private helper instead.
+"""
+
+import inspect
+
+import pytest
+
+from tddq import analytic, cli, sim, traffic
+
+
+@pytest.mark.parametrize("module", [traffic, analytic, sim, cli],
+                         ids=lambda m: m.__name__)
+def test_public_callables_are_plain_module_functions(module):
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isclass(obj) or not callable(obj):
+            continue
+        assert inspect.isfunction(obj), f"{module.__name__}.{name} is not a plain function"
+        assert obj.__module__ == module.__name__, (
+            f"{module.__name__}.{name} is defined in {obj.__module__}")

@@ -5,12 +5,14 @@ evaluations (math.exp sums, hand arithmetic), not from the implementation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tddq import analytic, traffic
 from tddq import (
     ChannelModel,
     RateAdaptationTable,
@@ -58,6 +60,31 @@ def random_table(rng: np.random.Generator) -> tuple[ChannelModel, RateAdaptation
     return ChannelModel(float(rng.uniform(0.05, 50.0))), table
 
 
+@st.composite
+def tables(draw) -> RateAdaptationTable:
+    """Rate tables with 1-6 regions, increasing thresholds and rates."""
+    m = draw(st.integers(1, 6))
+    inner = draw(st.lists(st.floats(0.01, 100.0), min_size=m - 1, max_size=m - 1,
+                          unique=True))
+    rates = draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m))
+    return RateAdaptationTable(thresholds=(0.0, *sorted(inner), math.inf),
+                               rates=tuple(sorted(rates)))
+
+
+def count_region_probabilities(monkeypatch) -> list[int]:
+    """Empty the moment cache and count region_probabilities calls from now on."""
+    traffic._long_service_moments.cache_clear()
+    calls = [0]
+    original = traffic.region_probabilities
+
+    def counted(channel, table):
+        calls[0] += 1
+        return original(channel, table)
+
+    monkeypatch.setattr(traffic, "region_probabilities", counted)
+    return calls
+
+
 class TestChannelModel:
     def test_db_conversion(self):
         assert ChannelModel.from_db(0.0).mean_snr == pytest.approx(1.0)
@@ -99,6 +126,22 @@ class TestRateAdaptationTable:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):
             RateAdaptationTable(thresholds=(0.0, math.inf), rates=(0.0,))
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="thresholds must not be NaN"):
+            RateAdaptationTable(thresholds=(0.0, math.nan, math.inf), rates=(1.0, 2.0))
+        with pytest.raises(ValueError, match="thresholds"):
+            RateAdaptationTable.from_tti_durations((0.0, math.nan), (15.0, 10.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_rates(self, bad):
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            RateAdaptationTable(thresholds=(0.0, 1.0, math.inf), rates=(1.0, bad))
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_rejects_bad_durations(self, bad):
+        with pytest.raises(ValueError, match="durations must be positive and finite"):
+            RateAdaptationTable.from_tti_durations((0.0, 10.0), (15.0, bad, 2.0))
 
 
 class TestRegionProbabilities:
@@ -173,6 +216,34 @@ class TestServiceMoments:
         assert first == pytest.approx(15.0, rel=1e-4)
         assert second == pytest.approx(225.0, rel=1e-4)
 
+    @given(tables(), st.floats(1e-3, 1e3))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_moments_equal_direct_sums(self, table, mean_snr):
+        channel = ChannelModel(mean_snr)
+        tail = np.exp(-np.asarray(table.thresholds) / mean_snr)
+        p = tail[:-1] - tail[1:]
+        mu = np.asarray(table.rates)
+        direct = (float(np.sum(p / mu)), float(np.sum(p / mu**2)))
+        traffic._long_service_moments.cache_clear()
+        assert long_service_moments(channel, table) == direct  # computed
+        assert long_service_moments(channel, table) == direct  # cached
+        assert long_service_moments(replace(channel), replace(table)) == direct
+
+    def test_moments_computed_once_per_equal_pair(self, monkeypatch):
+        calls = count_region_probabilities(monkeypatch)
+        first = long_service_moments(fig3_channel(), fig3_table())
+        second = long_service_moments(fig3_channel(), fig3_table())
+        assert first == second
+        assert calls == [1]
+
+    def test_fig3_point_computes_moments_once(self, monkeypatch):
+        calls = count_region_probabilities(monkeypatch)
+        config = default_scenario().config_for(0.7)
+        analytic.mg1_priority_sojourn(config)
+        analytic.mg1_priority_sojourn_slotted(config)
+        analytic.mg2_priority_sojourn(config)
+        assert calls == [1]
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_variance_nonnegative(self, seed):
@@ -225,6 +296,17 @@ class TestUtilization:
         with pytest.raises(ValueError):
             TrafficConfig(0.1, 0.0, 0.0, ChannelModel(1.0), table)
 
+    @pytest.mark.parametrize("field, args", [
+        ("lambda_short", (math.nan, 0.0, 1.0)),
+        ("lambda_long", (0.0, math.nan, 1.0)),
+        ("lambda_long", (0.0, math.inf, 1.0)),
+        ("mu_short", (0.1, 0.0, math.inf)),
+    ])
+    def test_rejects_nonfinite_values(self, field, args):
+        table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(1.0,))
+        with pytest.raises(ValueError, match=field):
+            TrafficConfig(*args, ChannelModel(1.0), table)
+
 
 class TestSolveArrivalRates:
     def test_short_only(self):
@@ -261,6 +343,10 @@ class TestSolveArrivalRates:
             solve_arrival_rates(0.0, 4.0, *args)
         with pytest.raises(ValueError):
             solve_arrival_rates(0.5, -1.0, *args)
+        with pytest.raises(ValueError, match="lambda_ratio"):
+            solve_arrival_rates(0.5, math.nan, *args)
+        with pytest.raises(ValueError, match="mu_short"):
+            solve_arrival_rates(0.5, 4.0, fig3_channel(), fig3_table(), math.inf)
 
 
 class TestSampleLongService:
@@ -340,6 +426,19 @@ class TestScenarioParsing:
     def test_region_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             parse_scenario("thresholds_db = 0, 10\nlong_ttis = 10, 2\n")
+
+    @pytest.mark.parametrize("line, field", [
+        ("mu_short = inf", "mu_short"),
+        ("mu_short = 0", "mu_short"),
+        ("long_ttis = 15, 0, 2", "durations"),
+        ("long_ttis = 15, nan, 2", "durations"),
+        ("lambda_ratio = nan", "lambda_ratio"),
+        ("lambda_ratio = inf", "lambda_ratio"),
+        ("thresholds_db = 0, nan", "thresholds"),
+    ])
+    def test_nonfinite_or_zero_values_rejected(self, line, field):
+        with pytest.raises(ValueError, match=field):
+            parse_scenario(line + "\n")
 
     def test_rho_range_enforced_unless_relaxed(self):
         with pytest.raises(ValueError):
