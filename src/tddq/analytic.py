@@ -198,17 +198,18 @@ class ResidualModel:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
-        if not self.s_long_max > 0:
-            raise ValueError("s_long_max must be > 0")
-        if self.family in ("exponential", "truncated-exponential"):
-            if self.rate is None or not self.rate > 0:
-                raise ValueError(f"{self.family} family needs a positive rate")
         if self.family == "empirical":
             if not self.samples:
                 raise ValueError("empirical family needs a non-empty sample set")
             object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
-            if any(x < 0 for x in self.samples):
-                raise ValueError("residual samples must be >= 0")
+            if not all(0.0 <= x < math.inf for x in self.samples):
+                raise ValueError(f"residual samples must be finite and >= 0: {self.samples}")
+        if not 0.0 < self.s_long_max < math.inf:
+            raise ValueError(f"s_long_max must be positive and finite, got {self.s_long_max}")
+        if self.family in ("exponential", "truncated-exponential"):
+            if self.rate is None or not 0.0 < self.rate < math.inf:
+                raise ValueError(
+                    f"{self.family} family needs a positive finite rate, got {self.rate}")
 
     @classmethod
     def exponential(cls, rate: float, s_long_max: float) -> "ResidualModel":
@@ -286,10 +287,10 @@ class CycleTimeModel:
     decoupled: bool
 
     def __post_init__(self) -> None:
-        if not self.s_short > 0:
-            raise ValueError("s_short must be > 0")
-        if self.t_proc < 0:
-            raise ValueError("t_proc must be >= 0")
+        if not 0.0 < self.s_short < math.inf:
+            raise ValueError(f"s_short must be positive and finite, got {self.s_short}")
+        if not 0.0 <= self.t_proc < math.inf:
+            raise ValueError(f"t_proc must be finite and >= 0, got {self.t_proc}")
 
 
 def cycle_time_stats(

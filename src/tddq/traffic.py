@@ -267,11 +267,18 @@ def sample_long_services(
     Exponential SNR draws from the passed stream, then the region lookup in
     the table; the stream is the only mutated state. Drawing n1 then n2
     continues the sequence that one draw of n1 + n2 gives.
+
+    The lookup counts, per draw, the interior thresholds strictly below the
+    SNR: that count is the 0-based region index, so an SNR equal to G_i
+    falls in the lower region (G_{i-1}, G_i]. One comparison pass per
+    threshold beats a binary search over these few thresholds.
     """
     snr = rng.standard_exponential(n)
     snr *= channel.mean_snr
-    idx = np.searchsorted(np.asarray(table.inner_thresholds), snr, side="left")
-    return np.asarray(table.durations)[idx]
+    idx = np.zeros(n, np.intp)
+    for g in table.inner_thresholds:
+        idx += snr > g
+    return np.asarray(table.durations).take(idx)
 
 
 # ---------------------------------------------------------------------------

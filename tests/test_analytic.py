@@ -336,6 +336,19 @@ class TestResidualModel:
         with pytest.raises(ValueError):
             ResidualModel.empirical([-0.5, 1.0], 10.0)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ResidualModel.uniform(math.inf), "s_long_max"),
+        (lambda: ResidualModel.exponential(math.inf, 10.0), "rate"),
+        (lambda: ResidualModel.truncated_exponential(math.inf, 10.0), "rate"),
+        (lambda: ResidualModel.empirical([1.0, math.nan, 3.0], 10.0), "samples"),
+        (lambda: ResidualModel.empirical([1.0, math.inf], 10.0), "samples"),
+        (lambda: ResidualModel.empirical([math.nan, 1.0]), "samples"),
+    ], ids=["s-long-inf", "exponential-rate-inf", "truncated-rate-inf", "samples-nan",
+            "samples-inf", "samples-nan-implied-s-long"])
+    def test_rejects_nonfinite(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
 
 class TestCycleTime:
     def test_degenerate_residual(self):
@@ -394,3 +407,12 @@ class TestCycleTime:
             CycleTimeModel(1.0, -1.0, residual, False)
         with pytest.raises(ValueError):
             cycle_time_stats(CycleTimeModel(1.0, 1.0, residual, False), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("s_short, t_proc, field", [
+        (math.inf, 1.0, "s_short"),
+        (1.0, math.nan, "t_proc"),
+        (1.0, math.inf, "t_proc"),
+    ], ids=["s-short-inf", "t-proc-nan", "t-proc-inf"])
+    def test_rejects_nonfinite(self, s_short, t_proc, field):
+        with pytest.raises(ValueError, match=field):
+            CycleTimeModel(s_short, t_proc, ResidualModel.uniform(10.0), False)

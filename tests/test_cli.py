@@ -1,15 +1,23 @@
 """CLI behaviour: CSV schemas, determinism, exit codes, validate paths."""
 
 import csv
+import hashlib
 import math
 import re
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tddq import ResidualModel, cli
+from tddq import ResidualModel, Topology, cli, sim
 from tddq.cli import main
+
+FIG3_CFG = str(Path(__file__).resolve().parents[1] / "experiments" / "fig3.cfg")
+# sha256 of `sojourn-sweep --config experiments/fig3.cfg --horizon 20000 --seed 7`;
+# a change that alters per-seed output on purpose updates it and says so
+FIG3_SEED7_SHA256 = "48728f9f870357f2782abab8b3d4b7b21363f7dd4a9dc5789eb78f8f4c8ee54a"
 
 FIG3_LIKE = """
 mean_snr_db  = 5
@@ -64,6 +72,37 @@ class TestSojournSweep:
         assert main(["sojourn-sweep", "--rho", "0.4", "--horizon", "15000",
                      "--seed", "43", "--out", str(out3)]) == 0
         assert out1.read_bytes() != out3.read_bytes()
+
+    def test_fig3_output_matches_recorded_digest(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "20000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG3_SEED7_SHA256
+
+    def test_sweeps_and_runs_in_this_process(self, tmp_path, monkeypatch):
+        # the benchmark reads each sweep by wrapping cli.sweep (the topology
+        # is its second positional argument) and times each run by wrapping
+        # sim.run; both must see every call, in this thread
+        topologies, run_threads = [], []
+
+        def wrap_sweep(sweep):
+            def wrapper(*args, **kwargs):
+                topologies.append(args[1])
+                return sweep(*args, **kwargs)
+            return wrapper
+
+        def wrap_run(run):
+            def wrapper(*args, **kwargs):
+                run_threads.append(threading.get_ident())
+                return run(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "sweep", wrap_sweep(cli.sweep))
+        monkeypatch.setattr(sim, "run", wrap_run(sim.run))
+        assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "2000",
+                     "--out", str(tmp_path / "fig3.csv")]) == 0
+        assert topologies == [Topology.COUPLED, Topology.DECOUPLED]
+        assert run_threads == [threading.get_ident()] * 18
 
     def test_empty_rho_list_gives_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -326,6 +365,24 @@ class TestBadInput:
         rc = main(["sojourn-sweep", "--config", str(cfg), "--rho", "0.5",
                    "--horizon", "2000", "--out", str(out)])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["cycle-time", "--family", "empirical", "--empirical-samples", "1,nan,3",
+          "--s-long", "10"], "samples"),
+        (["cycle-time", "--t-proc", "nan"], "t_proc"),
+        (["cycle-time", "--family", "uniform", "--s-long", "inf"], "s_long_max"),
+        (["cycle-time", "--s-short", "inf"], "s_short"),
+        (["cycle-time", "--family", "exponential", "--rate", "inf"], "rate"),
+        (["residual-cdf", "--family", "empirical", "--empirical-samples", "1,nan,3"],
+         "samples"),
+    ], ids=["cycle-empirical-nan", "cycle-t-proc-nan", "cycle-uniform-s-long-inf",
+            "cycle-s-short-inf", "cycle-rate-inf", "residual-empirical-nan"])
+    def test_nonfinite_residual_values(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()

@@ -241,6 +241,28 @@ class TestDeterminism:
         assert not tiny.converged
 
 
+def searchsorted_long_services(channel, table, rng, n):
+    """The binary-search lookup, the reference for sample_long_services."""
+    snr = rng.standard_exponential(n) * channel.mean_snr
+    idx = np.searchsorted(np.asarray(table.inner_thresholds), snr, side="left")
+    return np.asarray(table.durations)[idx]
+
+
+class TestLongServiceLookup:
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "unaligned"])
+    def test_run_equals_binary_search_run(self, monkeypatch, topology, aligned):
+        def fig3_run():
+            return run(fig3_config(0.7), topology, 40_000, seed=5,
+                       slot_aligned=aligned, keep_packets=True)
+
+        got = fig3_run()
+        monkeypatch.setattr(sim, "sample_long_services", searchsorted_long_services)
+        want = fig3_run()
+        assert got == want
+        assert got.packets == want.packets
+
+
 class TestSweep:
     def test_single_point_equals_run(self):
         scen = default_scenario()

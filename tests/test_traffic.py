@@ -349,7 +349,42 @@ class TestSolveArrivalRates:
             solve_arrival_rates(0.5, 4.0, fig3_channel(), fig3_table(), math.inf)
 
 
+def searchsorted_long_services(channel, table, rng, n):
+    """The binary-search lookup, the reference for sample_long_services."""
+    snr = rng.standard_exponential(n) * channel.mean_snr
+    idx = np.searchsorted(np.asarray(table.inner_thresholds), snr, side="left")
+    return np.asarray(table.durations)[idx]
+
+
+class FixedDraws:
+    """A generator stub whose exponential draw is a given array."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    def standard_exponential(self, n: int) -> np.ndarray:
+        assert n == len(self.values)
+        return self.values.copy()
+
+
 class TestSampleLongService:
+    @settings(max_examples=300, deadline=None)
+    @given(tables(), st.lists(st.floats(0.0, 200.0), max_size=40))
+    def test_lookup_equals_binary_search(self, table, extra):
+        inner = np.asarray(table.inner_thresholds)
+        snr = np.concatenate([inner, np.nextafter(inner, -np.inf),
+                              np.nextafter(inner, np.inf), [0.0], extra])
+        got = sample_long_services(ChannelModel(1.0), table, FixedDraws(snr), len(snr))
+        want = searchsorted_long_services(ChannelModel(1.0), table, FixedDraws(snr), len(snr))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_threshold_falls_in_lower_region(self):
+        table = fig3_table()
+        snr = np.array([1.0, np.nextafter(1.0, 2.0), 10.0, np.nextafter(10.0, 11.0)])
+        draws = sample_long_services(ChannelModel(1.0), table, FixedDraws(snr), 4)
+        assert draws.tolist() == [15.0, 10.0, 10.0, 2.0]
+
     def test_single_region_constant(self):
         table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(0.5,))
         rng = np.random.default_rng(1)
