@@ -202,8 +202,8 @@ class ResidualModel:
             if not self.samples:
                 raise ValueError("empirical family needs a non-empty sample set")
             object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
-            if not all(0.0 <= x < math.inf for x in self.samples):
-                raise ValueError(f"residual samples must be finite and >= 0: {self.samples}")
+            if not all(0.0 <= x <= self.s_long_max for x in self.samples):
+                raise ValueError(f"residual samples must lie in [0, s_long_max]: {self.samples}")
         if not 0.0 < self.s_long_max < math.inf:
             raise ValueError(f"s_long_max must be positive and finite, got {self.s_long_max}")
         if self.family in ("exponential", "truncated-exponential"):
@@ -300,15 +300,19 @@ def cycle_time_stats(
 
     The two directions of one cycle draw independent residuals; decoupled
     access replaces each draw with the min of two independent server draws.
-    Returns (mean, samples).
+    Returns (mean, samples); raises ValueError when they are not finite.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if model.decoupled:
-        res_a = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
-        res_b = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
-    else:
-        res_a = model.residual.sample(rng, n_samples)
-        res_b = model.residual.sample(rng, n_samples)
-    samples = 2.0 * model.s_short + model.t_proc + res_a + res_b
-    return float(samples.mean()), samples
+    with np.errstate(over="ignore"):  # reported below as a non-finite mean
+        if model.decoupled:
+            res_a = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
+            res_b = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
+        else:
+            res_a = model.residual.sample(rng, n_samples)
+            res_b = model.residual.sample(rng, n_samples)
+        samples = 2.0 * model.s_short + model.t_proc + res_a + res_b
+        mean = float(samples.mean())
+    if not math.isfinite(mean):  # samples are >= 0, so any inf or NaN one shows in the mean
+        raise ValueError(f"cycle-time samples or their mean are not finite (mean {mean})")
+    return mean, samples

@@ -126,10 +126,6 @@ class RateAdaptationTable:
         return cls.from_db_thresholds(inner_thresholds_db, tuple(1.0 / d for d in durations))
 
     @property
-    def n_regions(self) -> int:
-        return len(self.rates)
-
-    @property
     def durations(self) -> tuple[float, ...]:
         return tuple(1.0 / r for r in self.rates)
 

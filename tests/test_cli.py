@@ -378,8 +378,19 @@ class TestBadInput:
         (["cycle-time", "--family", "exponential", "--rate", "inf"], "rate"),
         (["residual-cdf", "--family", "empirical", "--empirical-samples", "1,nan,3"],
          "samples"),
+        (["residual-cdf", "--family", "empirical", "--empirical-samples", "1,2",
+          "--s-long", "1"], "samples"),
+        (["cycle-time", "--family", "uniform", "--s-long", "1e308"], "not finite"),
+        (["cycle-time", "--family", "exponential", "--rate", "1e-307"], "not finite"),
+        (["cycle-time", "--family", "empirical", "--empirical-samples", "1e308,1e308"],
+         "samples"),
+        (["cycle-time", "--family", "empirical", "--empirical-samples", "1e308,1e308",
+          "--s-long", "1e308"], "not finite"),
     ], ids=["cycle-empirical-nan", "cycle-t-proc-nan", "cycle-uniform-s-long-inf",
-            "cycle-s-short-inf", "cycle-rate-inf", "residual-empirical-nan"])
+            "cycle-s-short-inf", "cycle-rate-inf", "residual-empirical-nan",
+            "residual-empirical-above-s-long", "cycle-uniform-overflow",
+            "cycle-exponential-overflow", "cycle-empirical-above-s-long",
+            "cycle-empirical-overflow"])
     def test_nonfinite_residual_values(self, tmp_path, capsys, argv, field):
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == 2

@@ -223,6 +223,26 @@ class TestConservation:
         assert s.arrival_rate_estimate == pytest.approx(lam, rel=0.01)
 
 
+def student_t_pdf(x, dof):
+    return math.exp(math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2)
+                    - 0.5 * math.log(dof * math.pi) - (dof + 1) / 2 * math.log1p(x * x / dof))
+
+
+def student_t_cdf(q, dof, n=4000):
+    """Student's t CDF at q >= 0: 1/2 plus Simpson's rule over (0, q), stdlib only."""
+    h = q / n
+    weights = [1] + [4 if i % 2 else 2 for i in range(1, n)] + [1]
+    return 0.5 + h / 3 * math.fsum(w * student_t_pdf(i * h, dof) for i, w in enumerate(weights))
+
+
+def test_ci_quantile_is_student_t_for_the_batch_count():
+    """The batch-means CI multiplier is t(0.975) at N_BATCHES - 1 dof, to 1e-12."""
+    dof, q = sim.N_BATCHES - 1, sim._T975_31
+    newton_step = (student_t_cdf(q, dof) - 0.975) / student_t_pdf(q, dof)
+    assert abs(newton_step) <= 1e-12
+    assert abs(student_t_cdf(q, dof - 1) - 0.975) / student_t_pdf(q, dof) > 1e-6
+
+
 class TestDeterminism:
     def test_same_seed_bitwise_equal(self):
         a = run(fig3_config(0.7), Topology.DECOUPLED, 60_000, seed=9)

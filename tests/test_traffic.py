@@ -100,7 +100,7 @@ class TestChannelModel:
 class TestRateAdaptationTable:
     def test_fig3_construction(self):
         table = fig3_table()
-        assert table.n_regions == 3
+        assert len(table.rates) == 3
         assert table.thresholds[0] == 0.0
         assert math.isinf(table.thresholds[-1])
         assert table.thresholds[1] == pytest.approx(1.0)
@@ -188,7 +188,7 @@ class TestRegionProbabilities:
         """Splitting a region (same rate both halves) must not move mass."""
         channel, table = random_table(np.random.default_rng(seed))
         p = region_probabilities(channel, table)
-        i = seed % table.n_regions
+        i = seed % len(table.rates)
         lo, hi = table.thresholds[i], table.thresholds[i + 1]
         split = lo + frac * ((hi - lo) if math.isfinite(hi) else max(lo, 1.0) * 3.0)
         thresholds = (*table.thresholds[: i + 1], split, *table.thresholds[i + 1 :])
