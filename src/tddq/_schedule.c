@@ -20,7 +20,10 @@
 
 #include <math.h>
 
-enum { TDDQ_DONE = 0, TDDQ_NEED_MORE = 1, TDDQ_BREACH = 2 };
+enum { TDDQ_DONE = 0, TDDQ_NEED_MORE = 1, TDDQ_BREACH = 2, TDDQ_STALLED = 3 };
+
+/* 2^53: above it a double no longer holds every whole number of slots */
+#define TDDQ_EXACT_SLOTS 9007199254740992.0
 
 int tddq_schedule(long long n_servers, int aligned, long long horizon, long long warmup,
                   const double *arr_s, const double *dur_s, long long lim_s,
@@ -55,6 +58,11 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
             if (avail > t)
                 t = avail;
         }
+        /* traffic so sparse that time left the exact range: a service would
+         * not advance the clock, and at +inf the scans below would pass the
+         * sentinels */
+        if (t >= TDDQ_EXACT_SLOTS)
+            return TDDQ_STALLED;
 
         while (arr_s[ns] <= t)
             ns++;

@@ -43,7 +43,6 @@ from .traffic import (
     TrafficConfig,
     long_service_moments,
     sample_long_services,
-    utilization,
 )
 
 __all__ = [
@@ -135,7 +134,6 @@ class PacketColumns:
 class ClassStats:
     count: int
     mean: float
-    variance: float
     ci95: float  # batch-means 95% half width
 
 
@@ -149,8 +147,6 @@ class SojournSummary:
     avg_in_system: float
     arrival_rate_estimate: float
     measurement_time: float
-    warmup_discarded: int
-    seed: int
     converged: bool
     packets: PacketColumns | None = None
 
@@ -176,33 +172,16 @@ def _class_stats(data: np.ndarray, scale: float) -> ClassStats:
     """Statistics of the sojourns in `data`, which is scaled in place."""
     n = len(data)
     if n == 0:
-        return ClassStats(0, math.nan, math.nan, math.nan)
+        return ClassStats(0, math.nan, math.nan)
     data *= scale
     mean = float(data.mean())
-    variance = float(data.var(ddof=1)) if n >= 2 else math.nan
     if n >= N_BATCHES:
         per = n // N_BATCHES
         batches = data[: N_BATCHES * per].reshape(N_BATCHES, per).mean(axis=1)
         ci95 = float(_T975_31 * batches.std(ddof=1) / math.sqrt(N_BATCHES))
     else:
         ci95 = math.nan
-    return ClassStats(n, mean, variance, ci95)
-
-
-def _empty_summary(n_servers: int, warmup: int, seed: int, keep_packets: bool) -> SojournSummary:
-    empty = ClassStats(0, math.nan, math.nan, math.nan)
-    return SojournSummary(
-        short=empty,
-        long=empty,
-        busy_fraction=(0.0,) * n_servers,
-        avg_in_system=0.0,
-        arrival_rate_estimate=0.0,
-        measurement_time=0.0,
-        warmup_discarded=warmup,
-        seed=seed,
-        converged=True,
-        packets=_packet_columns(_NO_RECORDS, 1.0) if keep_packets else None,
-    )
+    return ClassStats(n, mean, ci95)
 
 
 def run(
@@ -224,7 +203,8 @@ def run(
     arriving mid-slot waits at least for the next boundary. Simultaneous
     grabs go to the lower server index. Statistics cover departures after the
     first `warmup` (default: 10% of horizon). Identical (config, topology,
-    seed) yields identical summaries.
+    seed) yields identical summaries. Traffic that is zero, or so sparse that
+    time passes 2**53 slots before `horizon` starts, raises ValueError.
 
     Each class draws its arrivals and service durations up front from its own
     streams of `SeedSequence(seed)`; the schedule then runs in a compiled
@@ -250,7 +230,6 @@ def run(
         raise ValueError("horizon must exceed warmup")
     if exponential_service and slot_aligned:
         raise ValueError("exponential service breaks slot alignment; pass slot_aligned=False")
-    utilization(config)  # saturation rejected up front
     n_servers = topology.n_servers
     slot = config.slot
     # work in slot units so aligned boundaries are exact integers; traffic is
@@ -258,9 +237,8 @@ def run(
     lam_s = config.lambda_short * n_servers * slot
     lam_l = config.lambda_long * n_servers * slot
     if lam_s + lam_l == 0.0:
-        if trace_path:
-            _write_trace(trace_path, _NO_EVENTS, slot)
-        return _empty_summary(n_servers, warmup, seed, keep_packets)
+        raise ValueError("no traffic: lambda_short and lambda_long are both 0, "
+                         "so no packet is ever served")
 
     if exponential_service:
         e_long, _ = long_service_moments(config.channel, config.table)
@@ -288,6 +266,9 @@ def run(
         if code != _NEED_MORE:
             break
         n_s, n_l = 2 * n_s, 2 * n_l  # same streams: the longer draw extends the shorter
+    if code == _STALLED:
+        raise ValueError("vanishing traffic: time passes 2**53 slots, where whole "
+                         f"slots are no longer exact, before {horizon} packets are served")
     if code != _DONE:
         raise RuntimeError(
             "scheduler left a server idle while a packet waited (work conservation)"
@@ -330,8 +311,6 @@ def run(
         avg_in_system=avg_in_system,
         arrival_rate_estimate=arrival_rate,
         measurement_time=measurement_time,
-        warmup_discarded=warmup,
-        seed=seed,
         converged=converged,
         packets=packets,
     )
@@ -416,7 +395,8 @@ class _Schedule:
 
 
 _DRAW_BLOCK = 16384
-_DONE, _NEED_MORE, _BREACH = 0, 1, 2  # scheduler return codes, as in _schedule.c
+_DONE, _NEED_MORE, _BREACH, _STALLED = 0, 1, 2, 3  # scheduler return codes, as in _schedule.c
+_EXACT_SLOTS = 2.0**53  # above it a double no longer holds every whole number of slots
 _SOURCE = Path(__file__).with_name("_schedule.c")
 _CC = "cc"
 
@@ -470,7 +450,7 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     arr_s, dur_s, lim_s = short.arrivals.tolist(), short.services.tolist(), short.limit
     arr_l, dur_l, lim_l = long_.arrivals.tolist(), long_.services.tolist(), long_.limit
     collect = out.records is not None
-    ceil = math.ceil
+    ceil, inf, exact_slots = math.ceil, math.inf, _EXACT_SLOTS
     free = [0.0] * n_servers
     busy = [0.0] * n_servers
     soj_s: list[float] = []
@@ -484,9 +464,11 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
         t = min(free)
         if hs == ns and hl == nl:
             a = arr_s[ns] if arr_s[ns] < arr_l[nl] else arr_l[nl]
-            avail = float(ceil(a)) if aligned else a
+            avail = float(ceil(a)) if aligned and a < inf else a
             if avail > t:
                 t = avail
+        if t >= exact_slots:
+            return _STALLED
         while arr_s[ns] <= t:
             ns += 1
         while arr_l[nl] <= t:
@@ -551,9 +533,6 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
 
 _DEPART, _START, _ARRIVAL = 0, 1, 2  # trace ranks: the order of simultaneous events
 _EVENT_NAMES = ("depart", "start", "arrival")
-_NO_RECORDS = (np.empty(0, np.uint8), np.empty(0), np.empty(0), np.empty(0),
-               np.empty(0, np.int64))
-_NO_EVENTS = (np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empty(0, np.int64))
 _TRACE_HEADER = "time,event,class,server,queue_len_short,queue_len_long\r\n"
 _TRACE_ROW = "%.9g,%s,%d,%d\r\n"
 

@@ -102,20 +102,13 @@ class RateAdaptationTable:
             )
 
     @classmethod
-    def from_db_thresholds(
-        cls, inner_thresholds_db: list[float] | tuple[float, ...], rates: list[float] | tuple[float, ...]
-    ) -> "RateAdaptationTable":
-        """Build from the interior thresholds in dB (0 and +inf are implied)."""
-        inner = tuple(db_to_linear(t) for t in inner_thresholds_db)
-        return cls(thresholds=(0.0, *inner, math.inf), rates=tuple(rates))
-
-    @classmethod
     def from_tti_durations(
         cls,
         inner_thresholds_db: list[float] | tuple[float, ...],
         durations: list[float] | tuple[float, ...],
     ) -> "RateAdaptationTable":
-        """Build from per-region TTI durations (region order: worst SNR first).
+        """Build from the interior thresholds in dB (0 and +inf are implied)
+        and per-region TTI durations (region order: worst SNR first).
 
         Durations must be non-increasing: the region above the last threshold
         gets the shortest TTI.
@@ -123,7 +116,8 @@ class RateAdaptationTable:
         if not all(0.0 < d < math.inf for d in durations):
             raise ValueError(
                 f"long TTI durations must be positive and finite: {tuple(durations)}")
-        return cls.from_db_thresholds(inner_thresholds_db, tuple(1.0 / d for d in durations))
+        inner = tuple(db_to_linear(t) for t in inner_thresholds_db)
+        return cls(thresholds=(0.0, *inner, math.inf), rates=tuple(1.0 / d for d in durations))
 
     @property
     def durations(self) -> tuple[float, ...]:
@@ -294,7 +288,11 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed experiment scenario: channel, rate table, mix and load points."""
+    """A parsed experiment scenario: channel, rate table, mix and load points.
+
+    Construction rejects TTIs that are not whole slots; load points are kept
+    as given, and `config_for` rejects one outside (0, 1).
+    """
 
     channel: ChannelModel
     table: RateAdaptationTable
@@ -305,6 +303,7 @@ class Scenario:
     def __post_init__(self) -> None:
         _check_mu_short(self.mu_short)
         _check_lambda_ratio(self.lambda_ratio)
+        _check_slot_alignment(self.table, 1.0 / self.mu_short)
 
     def config_for(self, rho: float) -> TrafficConfig:
         """TrafficConfig at one utilization point of this scenario."""
@@ -328,11 +327,11 @@ def _parse_floats(value: str, key: str) -> list[float]:
         raise ValueError(f"bad numeric list for {key!r}: {value!r}") from exc
 
 
-def parse_scenario(text: str, *, strict_rho: bool = True) -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     """Parse the key=value scenario grammar; unknown keys are rejected.
 
-    `strict_rho=False` keeps out-of-range load points instead of rejecting
-    them, so a validation pass can report the saturation itself.
+    Load points are kept as written, in range or not: each command decides
+    what an out-of-range point means for it.
     """
     values = dict(_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -364,11 +363,6 @@ def parse_scenario(text: str, *, strict_rho: bool = True) -> Scenario:
             f"(need one duration per region)"
         )
     rho_list = tuple(_parse_floats(values["rho"], "rho"))
-    if strict_rho:
-        for r in rho_list:
-            if not (0.0 < r < 1.0):
-                raise ValueError(f"rho values must lie in (0, 1), got {r}")
-
     return Scenario(
         channel=ChannelModel.from_db(mean_snr_db[0]),
         table=RateAdaptationTable.from_tti_durations(thresholds_db, long_ttis),
@@ -378,9 +372,9 @@ def parse_scenario(text: str, *, strict_rho: bool = True) -> Scenario:
     )
 
 
-def load_scenario(path: str, *, strict_rho: bool = True) -> Scenario:
+def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), strict_rho=strict_rho)
+        return parse_scenario(fh.read())
 
 
 def default_scenario() -> Scenario:

@@ -295,8 +295,9 @@ class TestValidate:
         assert re.search(r"^littles-law-and-busy\s+FAIL", out, re.MULTILINE)
         assert rc == 1
 
-    def test_tampered_tolerance_fails(self, capsys):
-        rc = main(["validate", "--horizon", "60000", "--mm1-tol", "1e-9"])
+    def test_tampered_tolerance_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_MM1_TOL", 1e-9)
+        rc = main(["validate", "--horizon", "60000"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "mm1-sanity" in out and "FAIL" in out
@@ -313,6 +314,39 @@ class TestBadInput:
     def test_rho_out_of_range(self, capsys):
         rc = main(["sojourn-sweep", "--rho", "1.5", "--out", "-"])
         assert rc == 2
+
+    def test_rho_out_of_range_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("rho = 0.5, 1.2\n")
+        out = tmp_path / "x.csv"
+        rc = main(["sojourn-sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "error: rho values must lie in (0, 1), got 1.2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sojourn-sweep", "validate"])
+    def test_slot_misaligned_scenario(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("long_ttis = 15, 10, 2.5\n")
+        out = tmp_path / "x.out"
+        rc = main([command, "--config", str(cfg), "--horizon", "2000", "--out", str(out)])
+        assert rc == 2
+        assert "not a whole number of slots" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vanishing_traffic(self, tmp_path, capsys):
+        # a 1e150-slot TTI makes arrivals so sparse that time passes 2**53 slots:
+        # validate's run fails as bad input, the sweep records it per point
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text("long_ttis = 1e150\nthresholds_db =\nrho = 0.5\n")
+        assert main(["validate", "--config", str(cfg), "--horizon", "2000"]) == 2
+        assert "error: vanishing traffic" in capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        assert main(["sojourn-sweep", "--config", str(cfg), "--horizon", "2000",
+                     "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 4
+        assert all(row["error"].startswith("vanishing traffic") for row in rows)
 
     @pytest.mark.parametrize("argv", [
         ["residual-cdf", "--horizon", "10"],

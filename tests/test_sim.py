@@ -67,13 +67,13 @@ class TestClosedFormOracles:
 
 
 class TestEmptyAndErrors:
-    def test_empty_system(self):
+    def test_zero_traffic_rejected(self, tmp_path):
         config = TrafficConfig(0.0, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
-        s = run(config, Topology.COUPLED, 1000, seed=1, keep_packets=True)
-        assert s.short.count == 0 and s.long.count == 0
-        assert s.busy_fraction == (0.0,)
-        assert len(s.packets) == 0
-        assert s.converged
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="no traffic"):
+            run(config, Topology.COUPLED, 1000, seed=1, keep_packets=True,
+                trace_path=str(trace))
+        assert not trace.exists()
 
     def test_horizon_must_exceed_warmup(self):
         with pytest.raises(ValueError):
@@ -189,12 +189,6 @@ class TestPacketColumns:
                     keep_packets=True).packets
         assert again == packets_coupled
         assert other != packets_coupled
-
-    def test_empty_run_gives_empty_record(self):
-        config = TrafficConfig(0.0, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
-        packets = run(config, Topology.DECOUPLED, 1000, seed=1, keep_packets=True).packets
-        assert isinstance(packets, sim.PacketColumns)
-        assert len(packets) == 0 and list(packets) == []
 
 
 class TestConservation:
@@ -489,6 +483,18 @@ class TestCompiledKernel:
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("loop", ["c", "py"])
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("lam", [1e-307, 1e-17], ids=["times-overflow", "times-inexact"])
+    def test_vanishing_traffic_rejected(self, monkeypatch, loop, topology, lam):
+        # at 1e-307 arrival times overflow to +inf, at 1e-17 they pass 2**53
+        # slots, where a one-slot service no longer advances the clock
+        scheduler = compiled_kernel() if loop == "c" else sim._schedule_py
+        monkeypatch.setattr(sim, "_scheduler", lambda: scheduler)
+        config = TrafficConfig(lam, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
+        with pytest.raises(ValueError, match="vanishing traffic"):
+            run(config, topology, 1000, seed=1)
 
     def test_work_conservation_breach_raises(self, monkeypatch):
         monkeypatch.setattr(sim, "_scheduler", lambda: lambda *args: sim._BREACH)

@@ -475,11 +475,9 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match=field):
             parse_scenario(line + "\n")
 
-    def test_rho_range_enforced_unless_relaxed(self):
-        with pytest.raises(ValueError):
-            parse_scenario("rho = 0.5, 1.2\n")
-        s = parse_scenario("rho = 0.5, 1.2\n", strict_rho=False)
-        assert s.rho_list == (0.5, 1.2)
+    def test_rho_points_kept_as_written(self):
+        # each command decides what an out-of-range point means
+        assert parse_scenario("rho = 0.5, 1.2\n").rho_list == (0.5, 1.2)
 
     def test_config_for_builds_stable_point(self):
         config = default_scenario().config_for(0.5)
