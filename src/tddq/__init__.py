@@ -8,7 +8,6 @@ two-way cycle-time models, and a CSV-emitting CLI (`tddq`).
 """
 
 from .analytic import (
-    CycleTimeModel,
     ResidualModel,
     SojournPrediction,
     cycle_time_stats,
@@ -64,7 +63,6 @@ __all__ = [
     "sample_long_services",
     "SojournPrediction",
     "ResidualModel",
-    "CycleTimeModel",
     "mg1_priority_sojourn",
     "mg1_priority_sojourn_slotted",
     "mg2_priority_sojourn",

@@ -26,7 +26,6 @@ from .traffic import (
 __all__ = [
     "SojournPrediction",
     "ResidualModel",
-    "CycleTimeModel",
     "mg1_priority_sojourn",
     "mg1_priority_sojourn_slotted",
     "kimura_wait",
@@ -211,25 +210,6 @@ class ResidualModel:
                 raise ValueError(
                     f"{self.family} family needs a positive finite rate, got {self.rate}")
 
-    @classmethod
-    def exponential(cls, rate: float, s_long_max: float) -> "ResidualModel":
-        return cls("exponential", s_long_max, rate=rate)
-
-    @classmethod
-    def truncated_exponential(cls, rate: float, s_long_max: float) -> "ResidualModel":
-        return cls("truncated-exponential", s_long_max, rate=rate)
-
-    @classmethod
-    def uniform(cls, s_long_max: float) -> "ResidualModel":
-        return cls("uniform", s_long_max)
-
-    @classmethod
-    def empirical(cls, samples, s_long_max: float | None = None) -> "ResidualModel":
-        samples = tuple(float(x) for x in samples)
-        if s_long_max is None:
-            s_long_max = max(max(samples), 1e-12) if samples else 1.0
-        return cls("empirical", s_long_max, samples=samples)
-
     def cdf(self, y):
         """Single-server residual CDF F_X evaluated at y (scalar or array)."""
         y = np.asarray(y, dtype=float)
@@ -273,45 +253,32 @@ def residual_cdf(model: ResidualModel, y, decoupled: bool):
     return g if g.ndim else float(g)
 
 
-@dataclass(frozen=True)
-class CycleTimeModel:
-    """Round trip of a top-priority interactive device.
-
-    One cycle = outbound TTI + inbound TTI + processing gap, each direction
-    first waiting out the residual time of the serving side.
-    """
-
-    s_short: float
-    t_proc: float
-    residual: ResidualModel
-    decoupled: bool
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.s_short < math.inf:
-            raise ValueError(f"s_short must be positive and finite, got {self.s_short}")
-        if not 0.0 <= self.t_proc < math.inf:
-            raise ValueError(f"t_proc must be finite and >= 0, got {self.t_proc}")
-
-
 def cycle_time_stats(
-    model: CycleTimeModel, n_samples: int, rng: np.random.Generator
+    residual: ResidualModel, s_short: float, t_proc: float, decoupled: bool,
+    n_samples: int, rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
-    """Monte Carlo cycle times: 2*S_S + t_proc + residual per direction.
+    """Monte Carlo cycle times of a top-priority two-way device.
 
-    The two directions of one cycle draw independent residuals; decoupled
-    access replaces each draw with the min of two independent server draws.
+    One cycle is 2*s_short + t_proc plus one residual per direction: each
+    TTI first waits out the residual time of the serving side. The two
+    directions draw independent residuals; decoupled access replaces each
+    draw with the min of two independent server draws.
     Returns (mean, samples); raises ValueError when they are not finite.
     """
+    if not 0.0 < s_short < math.inf:
+        raise ValueError(f"s_short must be positive and finite, got {s_short}")
+    if not 0.0 <= t_proc < math.inf:
+        raise ValueError(f"t_proc must be finite and >= 0, got {t_proc}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     with np.errstate(over="ignore"):  # reported below as a non-finite mean
-        if model.decoupled:
-            res_a = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
-            res_b = np.minimum(*model.residual.sample(rng, (n_samples, 2)).T)
+        if decoupled:
+            res_a = np.minimum(*residual.sample(rng, (n_samples, 2)).T)
+            res_b = np.minimum(*residual.sample(rng, (n_samples, 2)).T)
         else:
-            res_a = model.residual.sample(rng, n_samples)
-            res_b = model.residual.sample(rng, n_samples)
-        samples = 2.0 * model.s_short + model.t_proc + res_a + res_b
+            res_a = residual.sample(rng, n_samples)
+            res_b = residual.sample(rng, n_samples)
+        samples = 2.0 * s_short + t_proc + res_a + res_b
         mean = float(samples.mean())
     if not math.isfinite(mean):  # samples are >= 0, so any inf or NaN one shows in the mean
         raise ValueError(f"cycle-time samples or their mean are not finite (mean {mean})")

@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analytic import (
-    CycleTimeModel,
+    _FAMILIES,
     ResidualModel,
     cycle_time_stats,
     mg1_priority_sojourn,
@@ -127,29 +127,29 @@ def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_residual_cdf(args: argparse.Namespace) -> int:
-    """Residual-time CDF on a y grid over (0, S_L), closed form and empirical."""
-    n = args.samples
-    if n < 1:
-        raise ValueError(f"--samples must be >= 1, got {n}")
+    """Residual-time CDF on a y grid over (0, S_L), closed form and empirical.
+
+    Each column is computed over the whole grid before `--out` is opened.
+    """
     if not args.grid_step > 0:
         raise ValueError(f"--grid-step must be > 0, got {args.grid_step}")
     model = _residual_model(args)
+    n = args.samples
     rng = np.random.default_rng(args.seed)
-    emp_coupled = np.sort(model.sample(rng, n))
-    emp_decoupled = np.sort(np.minimum(*model.sample(rng, (n, 2)).T))
+    draws = (model.sample(rng, n), np.minimum(*model.sample(rng, (n, 2)).T))
     grid = np.arange(0.0, args.s_long + args.grid_step / 2, args.grid_step)
+    columns = [
+        grid,
+        residual_cdf(model, grid, decoupled=False),
+        residual_cdf(model, grid, decoupled=True),
+        *(np.searchsorted(np.sort(d), grid, side="right") / n for d in draws),
+    ]
     with _open_out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["y", "cdf_coupled", "cdf_decoupled",
                     "empirical_coupled", "empirical_decoupled"])
-        for y in grid:
-            w.writerow([
-                _fmt(float(y)),
-                _fmt(float(residual_cdf(model, y, decoupled=False))),
-                _fmt(float(residual_cdf(model, y, decoupled=True))),
-                _fmt(float(np.searchsorted(emp_coupled, y, side="right") / n)),
-                _fmt(float(np.searchsorted(emp_decoupled, y, side="right") / n)),
-            ])
+        for row in zip(*columns):
+            w.writerow([_fmt(float(v)) for v in row])
     return 0
 
 
@@ -159,11 +159,8 @@ def cmd_cycle_time(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for topo in (Topology.COUPLED, Topology.DECOUPLED):
-        cycle = CycleTimeModel(
-            s_short=args.s_short, t_proc=args.t_proc, residual=model,
-            decoupled=topo is Topology.DECOUPLED,
-        )
-        mean, samples = cycle_time_stats(cycle, args.samples, rng)
+        mean, samples = cycle_time_stats(model, args.s_short, args.t_proc,
+                                         topo is Topology.DECOUPLED, args.samples, rng)
         q = np.quantile(samples, [0.5, 0.9, 0.99, 0.999])
         rows.append([topo.value, mean, *map(float, q)])
     with _open_out(args.out) as fh:
@@ -245,10 +242,10 @@ def _check_conservation(s: Scenario, args: argparse.Namespace) -> tuple[bool, st
 
 def _check_dominance() -> tuple[bool, str]:
     families = [
-        ResidualModel.exponential(1.0, 10.0),
-        ResidualModel.truncated_exponential(0.5, 10.0),
-        ResidualModel.uniform(10.0),
-        ResidualModel.empirical([0.5, 1.0, 2.5, 4.0, 9.5], 10.0),
+        ResidualModel("exponential", 10.0, rate=1.0),
+        ResidualModel("truncated-exponential", 10.0, rate=0.5),
+        ResidualModel("uniform", 10.0),
+        ResidualModel("empirical", 10.0, samples=(0.5, 1.0, 2.5, 4.0, 9.5)),
     ]
     grid = np.linspace(0.0, 12.0, 241)
     for model in families:
@@ -321,16 +318,17 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_residual_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", default="exponential",
-                   choices=["exponential", "truncated-exponential", "uniform", "empirical"])
+    p.add_argument("--family", default="exponential", choices=_FAMILIES)
     p.add_argument("--rate", type=float, default=1.0, help="exponential rate")
     p.add_argument("--s-long", dest="s_long", type=float, default=10.0,
                    help="longest TTI bounding the residual support")
     p.add_argument("--empirical-samples", dest="empirical_samples", type=_float_list,
                    default=(), help="comma list of residual samples (family=empirical)")
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000,
+                   help="Monte Carlo sample count")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tddq",
         description="Latency of coupled vs decoupled access under flexible TDD",
@@ -346,16 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual-cdf", help="coupled vs min-of-two residual CDF")
     _add_common(p)
     _add_residual_flags(p)
-    # range-checked in cmd_residual_cdf: a bad count there is reported by
-    # main() returning 2, not by argparse exiting
-    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.1)
 
     p = sub.add_parser("cycle-time", help="two-way cycle time quantiles")
     _add_common(p)
     _add_residual_flags(p)
-    p.add_argument("--samples", type=_int_at_least(1), default=100_000,
-                   help="Monte Carlo sample count")
     p.add_argument("--s-short", dest="s_short", type=float, default=1.0)
     p.add_argument("--t-proc", dest="t_proc", type=float, default=2.0)
 
@@ -375,7 +368,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -21,6 +21,7 @@ __all__ = [
     "RateAdaptationTable",
     "TrafficConfig",
     "Scenario",
+    "default_scenario",
     "region_probabilities",
     "long_service_moments",
     "short_service_moments",
@@ -39,8 +40,11 @@ class SaturationError(ValueError):
     """Offered load is at or above capacity (rho >= 1 per server)."""
 
 
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+def _db_to_linear(x_db: float, name: str) -> float:
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{name} {x_db} dB is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class ChannelModel:
 
     @classmethod
     def from_db(cls, mean_snr_db: float) -> "ChannelModel":
-        return cls(mean_snr=db_to_linear(mean_snr_db))
+        return cls(mean_snr=_db_to_linear(mean_snr_db, "mean_snr_db"))
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,8 @@ class RateAdaptationTable:
             )
         if not all(0.0 < r < math.inf for r in rates):
             raise ValueError(f"rates must be positive and finite: {rates}")
+        if not all(r * r > 0.0 and 1.0 / (r * r) < math.inf for r in rates):
+            raise ValueError(f"rates must be large enough that 1/rate**2 is finite: {rates}")
         if any(a > b for a, b in zip(rates, rates[1:])):
             raise ValueError(
                 f"rates must be non-decreasing with channel quality: {rates}"
@@ -116,7 +122,7 @@ class RateAdaptationTable:
         if not all(0.0 < d < math.inf for d in durations):
             raise ValueError(
                 f"long TTI durations must be positive and finite: {tuple(durations)}")
-        inner = tuple(db_to_linear(t) for t in inner_thresholds_db)
+        inner = tuple(_db_to_linear(t, "thresholds_db") for t in inner_thresholds_db)
         return cls(thresholds=(0.0, *inner, math.inf), rates=tuple(1.0 / d for d in durations))
 
     @property
@@ -160,6 +166,8 @@ def _long_service_moments(channel: ChannelModel, table: RateAdaptationTable) -> 
 def _check_mu_short(mu_short: float) -> None:
     if not 0.0 < mu_short < math.inf:
         raise ValueError(f"mu_short must be positive and finite, got {mu_short}")
+    if 1.0 / mu_short == math.inf:
+        raise ValueError(f"mu_short {mu_short} makes the slot 1/mu_short overflow")
 
 
 def _check_lambda_ratio(ratio: float) -> None:
@@ -170,7 +178,8 @@ def _check_lambda_ratio(ratio: float) -> None:
 def _check_slot_alignment(table: RateAdaptationTable, slot: float) -> None:
     for d in table.durations:
         k = d / slot
-        if abs(k - round(k)) > _SLOT_ALIGN_RTOL * max(1.0, k):
+        # k must round to at least one slot, and round(k) fails at inf
+        if not 0.5 < k < math.inf or abs(k - round(k)) > _SLOT_ALIGN_RTOL * max(1.0, k):
             raise ValueError(
                 f"long TTI {d} is not a whole number of slots (slot={slot})"
             )

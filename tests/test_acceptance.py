@@ -38,7 +38,7 @@ from tddq import (
     sweep,
     utilization,
 )
-from tddq.analytic import CycleTimeModel, ResidualModel, cycle_time_stats
+from tddq.analytic import ResidualModel, cycle_time_stats
 from tddq.cli import main as cli_main, worst_normalization_error
 
 RHO_SWEEP = (0.3, 0.5, 0.7, 0.8, 0.85)
@@ -186,7 +186,7 @@ def test_criterion_5_residual_cdf_ks():
     cdf = 1.0 - np.exp(-2.0 * rate * samples)
     i = np.arange(1, n + 1)
     ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
-    model = ResidualModel.exponential(rate, 10.0)
+    model = ResidualModel("exponential", 10.0, rate=rate)
     grid = np.linspace(0.0, 10.0, 1001)
     from tddq import residual_cdf
 
@@ -202,14 +202,10 @@ def test_criterion_5_residual_cdf_ks():
 
 
 def test_criterion_6_cycle_time_order_statistics():
-    residual = ResidualModel.uniform(10.0)
+    residual = ResidualModel("uniform", 10.0)
     rng = np.random.default_rng(SEED + 1)
-    mean_dec, _ = cycle_time_stats(
-        CycleTimeModel(1.0, 2.0, residual, decoupled=True), 1_000_000, rng
-    )
-    mean_coup, _ = cycle_time_stats(
-        CycleTimeModel(1.0, 2.0, residual, decoupled=False), 1_000_000, rng
-    )
+    mean_dec, _ = cycle_time_stats(residual, 1.0, 2.0, True, 1_000_000, rng)
+    mean_coup, _ = cycle_time_stats(residual, 1.0, 2.0, False, 1_000_000, rng)
     want_dec = 2.0 * (1.0 + 10.0 / 3.0) + 2.0  # E[min of two U(0,10)] = 10/3
     rel_dec = abs(mean_dec - want_dec) / want_dec
     rel_coup = abs(mean_coup - 14.0) / 14.0

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tddq import (
     ChannelModel,
-    CycleTimeModel,
     RateAdaptationTable,
     ResidualModel,
     SaturationError,
@@ -250,10 +249,10 @@ class TestMg2PrioritySojourn:
 class TestResidualModel:
     def test_cdf_zero_at_origin(self):
         models = [
-            ResidualModel.exponential(1.0, 10.0),
-            ResidualModel.truncated_exponential(1.0, 10.0),
-            ResidualModel.uniform(10.0),
-            ResidualModel.empirical([0.5, 2.0], 10.0),
+            ResidualModel("exponential", 10.0, rate=1.0),
+            ResidualModel("truncated-exponential", 10.0, rate=1.0),
+            ResidualModel("uniform", 10.0),
+            ResidualModel("empirical", 10.0, samples=(0.5, 2.0)),
         ]
         for model in models:
             assert residual_cdf(model, 0.0, decoupled=False) == pytest.approx(0.0)
@@ -261,7 +260,7 @@ class TestResidualModel:
 
     def test_exponential_min_of_two(self):
         # oracle: 1 - exp(-2*1*0.5) = 0.6321205588285577
-        model = ResidualModel.exponential(1.0, 10.0)
+        model = ResidualModel("exponential", 10.0, rate=1.0)
         assert residual_cdf(model, 0.5, decoupled=True) == pytest.approx(
             0.6321205588285577, rel=1e-12
         )
@@ -270,24 +269,24 @@ class TestResidualModel:
         assert got == pytest.approx(1.0 - np.exp(-2.0 * y), rel=1e-12)
 
     def test_half_mass_goes_to_three_quarters(self):
-        model = ResidualModel.empirical([0.0, 1.0], 1.0)
+        model = ResidualModel("empirical", 1.0, samples=(0.0, 1.0))
         assert residual_cdf(model, 0.5, decoupled=False) == pytest.approx(0.5)
         assert residual_cdf(model, 0.5, decoupled=True) == pytest.approx(0.75)
 
     def test_uniform_cdf(self):
-        model = ResidualModel.uniform(10.0)
+        model = ResidualModel("uniform", 10.0)
         assert residual_cdf(model, 2.5, decoupled=False) == pytest.approx(0.25)
         assert residual_cdf(model, 12.0, decoupled=False) == pytest.approx(1.0)
 
     def test_truncated_exponential_support(self):
-        model = ResidualModel.truncated_exponential(0.3, 5.0)
+        model = ResidualModel("truncated-exponential", 5.0, rate=0.3)
         assert residual_cdf(model, 5.0, decoupled=False) == pytest.approx(1.0)
         samples = model.sample(np.random.default_rng(3), 20_000)
         assert samples.min() >= 0.0
         assert samples.max() <= 5.0
         # plain exponential is not confined
-        plain = ResidualModel.exponential(0.3, 5.0).sample(np.random.default_rng(3), 20_000)
-        assert plain.max() > 5.0
+        plain = ResidualModel("exponential", 5.0, rate=0.3)
+        assert plain.sample(np.random.default_rng(3), 20_000).max() > 5.0
 
     @given(
         st.sampled_from(["exponential", "truncated-exponential", "uniform", "empirical"]),
@@ -297,13 +296,13 @@ class TestResidualModel:
     @settings(max_examples=120, deadline=None)
     def test_decoupled_dominates_coupled(self, family, rate, y):
         if family == "empirical":
-            model = ResidualModel.empirical([0.4, 1.2, 3.3, 7.0], 10.0)
+            model = ResidualModel("empirical", 10.0, samples=(0.4, 1.2, 3.3, 7.0))
         elif family == "uniform":
-            model = ResidualModel.uniform(10.0)
+            model = ResidualModel("uniform", 10.0)
         elif family == "exponential":
-            model = ResidualModel.exponential(rate, 10.0)
+            model = ResidualModel("exponential", 10.0, rate=rate)
         else:
-            model = ResidualModel.truncated_exponential(rate, 10.0)
+            model = ResidualModel("truncated-exponential", 10.0, rate=rate)
         coupled = residual_cdf(model, y, decoupled=False)
         decoupled = residual_cdf(model, y, decoupled=True)
         assert 0.0 <= coupled <= 1.0
@@ -315,14 +314,28 @@ class TestResidualModel:
     def test_cdfs_monotone(self):
         y = np.linspace(0.0, 12.0, 200)
         for model in (
-            ResidualModel.exponential(0.7, 10.0),
-            ResidualModel.truncated_exponential(0.7, 10.0),
-            ResidualModel.uniform(10.0),
-            ResidualModel.empirical([1.0, 2.0, 8.0], 10.0),
+            ResidualModel("exponential", 10.0, rate=0.7),
+            ResidualModel("truncated-exponential", 10.0, rate=0.7),
+            ResidualModel("uniform", 10.0),
+            ResidualModel("empirical", 10.0, samples=(1.0, 2.0, 8.0)),
         ):
             for decoupled in (False, True):
                 f = np.asarray(residual_cdf(model, y, decoupled))
                 assert np.all(np.diff(f) >= -1e-12)
+
+    def test_grid_equals_scalar_calls(self):
+        # residual-cdf evaluates each column over its whole grid at once
+        grid = np.arange(0.0, 10.0 + 0.05, 0.1)
+        for rate in (0.05, 0.7, 1.0, 3.0):
+            for model in (
+                ResidualModel("exponential", 10.0, rate=rate),
+                ResidualModel("truncated-exponential", 10.0, rate=rate),
+                ResidualModel("uniform", 10.0 * rate),
+                ResidualModel("empirical", 10.0, samples=(0.5, rate, 7.5)),
+            ):
+                for decoupled in (False, True):
+                    want = [residual_cdf(model, y, decoupled) for y in grid]
+                    assert residual_cdf(model, grid, decoupled).tolist() == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -332,19 +345,18 @@ class TestResidualModel:
         with pytest.raises(ValueError):
             ResidualModel("exponential", 0.0, rate=1.0)
         with pytest.raises(ValueError):
-            ResidualModel.empirical([], 10.0)
+            ResidualModel("empirical", 10.0, samples=())
         with pytest.raises(ValueError):
-            ResidualModel.empirical([-0.5, 1.0], 10.0)
+            ResidualModel("empirical", 10.0, samples=(-0.5, 1.0))
 
     @pytest.mark.parametrize("make, field", [
-        (lambda: ResidualModel.uniform(math.inf), "s_long_max"),
-        (lambda: ResidualModel.exponential(math.inf, 10.0), "rate"),
-        (lambda: ResidualModel.truncated_exponential(math.inf, 10.0), "rate"),
-        (lambda: ResidualModel.empirical([1.0, math.nan, 3.0], 10.0), "samples"),
-        (lambda: ResidualModel.empirical([1.0, math.inf], 10.0), "samples"),
-        (lambda: ResidualModel.empirical([math.nan, 1.0]), "samples"),
+        (lambda: ResidualModel("uniform", math.inf), "s_long_max"),
+        (lambda: ResidualModel("exponential", 10.0, rate=math.inf), "rate"),
+        (lambda: ResidualModel("truncated-exponential", 10.0, rate=math.inf), "rate"),
+        (lambda: ResidualModel("empirical", 10.0, samples=(1.0, math.nan, 3.0)), "samples"),
+        (lambda: ResidualModel("empirical", 10.0, samples=(1.0, math.inf)), "samples"),
     ], ids=["s-long-inf", "exponential-rate-inf", "truncated-rate-inf", "samples-nan",
-            "samples-inf", "samples-nan-implied-s-long"])
+            "samples-inf"])
     def test_rejects_nonfinite(self, make, field):
         with pytest.raises(ValueError, match=field):
             make()
@@ -352,61 +364,57 @@ class TestResidualModel:
 
 class TestCycleTime:
     def test_degenerate_residual(self):
-        model = CycleTimeModel(
-            s_short=1.0, t_proc=2.0,
-            residual=ResidualModel.empirical([0.0], 10.0), decoupled=True,
-        )
-        mean, samples = cycle_time_stats(model, 1000, np.random.default_rng(0))
+        residual = ResidualModel("empirical", 10.0, samples=(0.0,))
+        mean, samples = cycle_time_stats(residual, 1.0, 2.0, True, 1000,
+                                         np.random.default_rng(0))
         assert mean == pytest.approx(4.0)
         assert np.all(samples == 4.0)
 
     def test_uniform_order_statistics_oracle(self):
         # oracle: E[min of two U(0,10)] = 10/3 -> 2*(1 + 10/3) + 2 = 10.666...
-        residual = ResidualModel.uniform(10.0)
-        dec = CycleTimeModel(1.0, 2.0, residual, decoupled=True)
-        mean, _ = cycle_time_stats(dec, 200_000, np.random.default_rng(8))
+        residual = ResidualModel("uniform", 10.0)
+        mean, _ = cycle_time_stats(residual, 1.0, 2.0, True, 200_000, np.random.default_rng(8))
         assert mean == pytest.approx(2.0 * (1.0 + 10.0 / 3.0) + 2.0, rel=5e-3)
-        coup = CycleTimeModel(1.0, 2.0, residual, decoupled=False)
-        mean_c, _ = cycle_time_stats(coup, 200_000, np.random.default_rng(9))
+        mean_c, _ = cycle_time_stats(residual, 1.0, 2.0, False, 200_000,
+                                     np.random.default_rng(9))
         assert mean_c == pytest.approx(14.0, rel=5e-3)
 
     def test_exponential_min_oracle(self):
         # oracle: E[min of two Exp(rate)] = 1/(2*rate)
-        residual = ResidualModel.exponential(0.5, 50.0)
-        dec = CycleTimeModel(1.0, 0.0, residual, decoupled=True)
-        mean, _ = cycle_time_stats(dec, 200_000, np.random.default_rng(10))
+        residual = ResidualModel("exponential", 50.0, rate=0.5)
+        mean, _ = cycle_time_stats(residual, 1.0, 0.0, True, 200_000, np.random.default_rng(10))
         assert mean == pytest.approx(2.0 * (1.0 + 1.0) + 0.0, rel=5e-3)
 
     @pytest.mark.parametrize("residual", [
-        ResidualModel.exponential(0.7, 10.0),
-        ResidualModel.truncated_exponential(0.7, 10.0),
-        ResidualModel.uniform(10.0),
-        ResidualModel.empirical([0.5, 2.0, 7.5], 10.0),
+        ResidualModel("exponential", 10.0, rate=0.7),
+        ResidualModel("truncated-exponential", 10.0, rate=0.7),
+        ResidualModel("uniform", 10.0),
+        ResidualModel("empirical", 10.0, samples=(0.5, 2.0, 7.5)),
     ], ids=lambda r: r.family)
     def test_decoupled_draw_is_min_of_two(self, residual):
         n, seed = 10_000, 31
-        model = CycleTimeModel(1.0, 2.0, residual, decoupled=True)
-        _, samples = cycle_time_stats(model, n, np.random.default_rng(seed))
+        _, samples = cycle_time_stats(residual, 1.0, 2.0, True, n, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         res_a = residual.sample(rng, (n, 2)).min(axis=1)
         res_b = residual.sample(rng, (n, 2)).min(axis=1)
         assert samples.tobytes() == (2.0 * 1.0 + 2.0 + res_a + res_b).tobytes()
 
     def test_decoupled_never_slower(self):
-        residual = ResidualModel.truncated_exponential(0.4, 10.0)
+        residual = ResidualModel("truncated-exponential", 10.0, rate=0.4)
         rng = np.random.default_rng(5)
-        mean_dec, _ = cycle_time_stats(CycleTimeModel(1.0, 2.0, residual, True), 100_000, rng)
-        mean_coup, _ = cycle_time_stats(CycleTimeModel(1.0, 2.0, residual, False), 100_000, rng)
+        mean_dec, _ = cycle_time_stats(residual, 1.0, 2.0, True, 100_000, rng)
+        mean_coup, _ = cycle_time_stats(residual, 1.0, 2.0, False, 100_000, rng)
         assert mean_dec < mean_coup
 
     def test_validation(self):
-        residual = ResidualModel.uniform(10.0)
+        residual = ResidualModel("uniform", 10.0)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            CycleTimeModel(0.0, 1.0, residual, False)
+            cycle_time_stats(residual, 0.0, 1.0, False, 1, rng)
         with pytest.raises(ValueError):
-            CycleTimeModel(1.0, -1.0, residual, False)
+            cycle_time_stats(residual, 1.0, -1.0, False, 1, rng)
         with pytest.raises(ValueError):
-            cycle_time_stats(CycleTimeModel(1.0, 1.0, residual, False), 0, np.random.default_rng(0))
+            cycle_time_stats(residual, 1.0, 1.0, False, 0, rng)
 
     @pytest.mark.parametrize("s_short, t_proc, field", [
         (math.inf, 1.0, "s_short"),
@@ -415,4 +423,5 @@ class TestCycleTime:
     ], ids=["s-short-inf", "t-proc-nan", "t-proc-inf"])
     def test_rejects_nonfinite(self, s_short, t_proc, field):
         with pytest.raises(ValueError, match=field):
-            CycleTimeModel(s_short, t_proc, ResidualModel.uniform(10.0), False)
+            cycle_time_stats(ResidualModel("uniform", 10.0), s_short, t_proc, False, 1,
+                             np.random.default_rng(0))

@@ -18,6 +18,27 @@ FIG3_CFG = str(Path(__file__).resolve().parents[1] / "experiments" / "fig3.cfg")
 # sha256 of `sojourn-sweep --config experiments/fig3.cfg --horizon 20000 --seed 7`;
 # a change that alters per-seed output on purpose updates it and says so
 FIG3_SEED7_SHA256 = "48728f9f870357f2782abab8b3d4b7b21363f7dd4a9dc5789eb78f8f4c8ee54a"
+# sha256 of `<command> --family <family> --rate 0.7 --s-long 10 --samples 20000
+# --seed 5` (plus `--empirical-samples 0.5,2,7.5` for the empirical family);
+# updated, like the fig3 digest, only by a change that alters output on purpose
+RESIDUAL_SHA256 = {
+    ("residual-cdf", "exponential"):
+        "80a79e8d995ceeecfb8a76dd0068b633053eb62615c321e04d4965d6ec3db5ad",
+    ("residual-cdf", "truncated-exponential"):
+        "7eba60be8db8413eee7a5686cef6c89aba9f2ae5478df31e94b6b6027d6213aa",
+    ("residual-cdf", "uniform"):
+        "751e9f92f3557af03329768552ac0e4c421f46a26dc106f5edd85f24dd8772df",
+    ("residual-cdf", "empirical"):
+        "868f9563dc8db2d84912f35c9a4d551ddcb5a0be39c33b4898efde669ffe08f6",
+    ("cycle-time", "exponential"):
+        "b013dacd61c4c9fe494f83b2926c3b25cb18e38b1df69f120889e92d812a41cd",
+    ("cycle-time", "truncated-exponential"):
+        "32820707f1bf765c3b63aac11d09380006ee83c3144cccac87556cd66a5e0c74",
+    ("cycle-time", "uniform"):
+        "aca34bcddb91cec5fe44de211bf5505b0d17a086757fdeb9e75c467c315d21dd",
+    ("cycle-time", "empirical"):
+        "54c878c1a7c93c1249d6efbd43d0b3ce0e8ae8f373f53d791449d8ee6a7de644",
+}
 
 FIG3_LIKE = """
 mean_snr_db  = 5
@@ -127,6 +148,15 @@ class TestSojournSweep:
             assert long_row["rel_err"] == ""
             assert float(long_row["analytic_mean"]) > 0  # hypothetical long packet
 
+    def test_too_few_batches_leave_ci_empty(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["sojourn-sweep", "--rho", "0.5", "--horizon", "60", "--seed", "1",
+                     "--out", str(out)]) == 0
+        row = {(r["class"], r["topology"]): r for r in read_rows(out)}[("short", "coupled")]
+        assert 0 < int(row["count"]) < sim.N_BATCHES
+        assert float(row["sim_mean"]) > 0
+        assert row["sim_ci95"] == ""
+
     def test_config_file_drives_rho_list(self, tmp_path):
         cfg = tmp_path / "two_points.cfg"
         cfg.write_text(FIG3_LIKE)
@@ -178,10 +208,11 @@ class TestResidualCdf:
             assert abs(float(row["empirical_decoupled"]) - float(row["cdf_decoupled"])) < 0.01
 
     @pytest.mark.parametrize("model, flags", [
-        (ResidualModel.exponential(0.7, 10.0), ["--rate", "0.7"]),
-        (ResidualModel.truncated_exponential(0.7, 10.0), ["--rate", "0.7"]),
-        (ResidualModel.uniform(10.0), []),
-        (ResidualModel.empirical([0.5, 2.0, 7.5], 10.0), ["--empirical-samples", "0.5,2,7.5"]),
+        (ResidualModel("exponential", 10.0, rate=0.7), ["--rate", "0.7"]),
+        (ResidualModel("truncated-exponential", 10.0, rate=0.7), ["--rate", "0.7"]),
+        (ResidualModel("uniform", 10.0), []),
+        (ResidualModel("empirical", 10.0, samples=(0.5, 2.0, 7.5)),
+         ["--empirical-samples", "0.5,2,7.5"]),
     ], ids=["exponential", "truncated-exponential", "uniform", "empirical"])
     def test_empirical_decoupled_is_min_of_two(self, tmp_path, model, flags):
         n, seed = 5000, 21
@@ -209,16 +240,25 @@ class TestResidualCdf:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flags", [
-        ["--samples", "0"],
-        ["--samples", "-5"],
         ["--grid-step", "0"],
         ["--grid-step", "-1"],
-    ], ids=["samples-0", "samples-negative", "grid-step-0", "grid-step-negative"])
+    ], ids=["grid-step-0", "grid-step-negative"])
     def test_degenerate_inputs_rejected(self, tmp_path, capsys, flags):
         out = tmp_path / "res.csv"
         assert main(["residual-cdf", *flags, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, family", sorted(RESIDUAL_SHA256))
+def test_residual_output_matches_recorded_digest(tmp_path, command, family):
+    out = tmp_path / "out.csv"
+    flags = ["--family", family, "--rate", "0.7", "--s-long", "10",
+             "--samples", "20000", "--seed", "5"]
+    if family == "empirical":
+        flags += ["--empirical-samples", "0.5,2,7.5"]
+    assert main([command, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RESIDUAL_SHA256[(command, family)]
 
 
 class TestCycleTime:
@@ -364,11 +404,14 @@ class TestBadInput:
          "--empirical-samples"),
         (["cycle-time", "--samples", "0"], "--samples"),
         (["cycle-time", "--samples", "many"], "--samples"),
+        (["residual-cdf", "--samples", "0"], "--samples"),
+        (["residual-cdf", "--samples", "-5"], "--samples"),
         (["sojourn-sweep", "--horizon", "0"], "--horizon"),
         (["validate", "--horizon", "-5"], "--horizon"),
         (["sojourn-sweep", "--warmup", "-1"], "--warmup"),
     ], ids=["rho-word", "rho-list-entry", "empirical-samples-word",
-            "cycle-samples-0", "cycle-samples-word", "sweep-horizon-0",
+            "cycle-samples-0", "cycle-samples-word", "residual-samples-0",
+            "residual-samples-negative", "sweep-horizon-0",
             "validate-horizon-negative", "sweep-warmup-negative"])
     def test_malformed_number_names_flag(self, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -391,6 +434,14 @@ class TestBadInput:
         ("long_ttis = 15, 0, 2", "durations"),
         ("lambda_ratio = nan", "lambda_ratio"),
         ("thresholds_db = 0, nan", "thresholds"),
+        ("mean_snr_db = 4000", "mean_snr_db"),
+        ("thresholds_db = 0, 4000", "thresholds_db"),
+        ("long_ttis = 1e300\nthresholds_db =\nmu_short = 1e10", "rates"),
+        ("long_ttis = 1e150\nthresholds_db =\nmu_short = 1e160", "long TTI"),
+        ("mu_short = 1e-310", "mu_short"),
+        ("mu_short = 1e-12", "long TTI"),
+        ("long_ttis = 1e305\nthresholds_db =", "rates"),
+        ("long_ttis = 1e160\nthresholds_db =", "rates"),
     ])
     def test_nonfinite_or_zero_scenario_values(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"

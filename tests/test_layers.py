@@ -4,7 +4,9 @@ The per-layer timing spans wrap every public function that
 `inspect.isfunction` accepts and that its own module defines. A decorator
 that turns a public function into another kind of callable (for example
 `functools.cache`, whose result is not a function) would silently drop that
-function from the spans, so cache a private helper instead.
+function from the spans, so cache a private helper instead. The spans read
+only the names in `__all__`, so each layer lists every public function and
+class it defines there, and nothing else.
 """
 
 import inspect
@@ -24,3 +26,15 @@ def test_public_callables_are_plain_module_functions(module):
         assert inspect.isfunction(obj), f"{module.__name__}.{name} is not a plain function"
         assert obj.__module__ == module.__name__, (
             f"{module.__name__}.{name} is defined in {obj.__module__}")
+
+
+@pytest.mark.parametrize("module", [traffic, analytic, sim, cli],
+                         ids=lambda m: m.__name__)
+def test_all_lists_exactly_the_public_functions_and_classes(module):
+    public = {
+        name for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(module.__all__) == sorted(public)

@@ -86,6 +86,14 @@ class TestEmptyAndErrors:
         with pytest.raises(ValueError, match="horizon must exceed warmup"):
             run(config, Topology.COUPLED, horizon, warmup=warmup, seed=1)
 
+    def test_empty_window_gives_nan_diagnostics(self):
+        # both servers start the window's only packet and the one before it
+        # at the same boundary, so the measurement window has no length
+        s = run(fig3_config(0.5), Topology.DECOUPLED, horizon=2, warmup=1, seed=0)
+        assert s.measurement_time == 0.0
+        assert math.isnan(s.little_residual)
+        assert all(math.isnan(b) for b in s.busy_fraction)
+
     def test_exponential_service_requires_unaligned(self):
         with pytest.raises(ValueError):
             run(MM1_CONFIG, Topology.COUPLED, 100, seed=1, exponential_service=True)
