@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import sim
 from .analytic import (
     _FAMILIES,
     ResidualModel,
@@ -94,36 +95,42 @@ def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"rho values must lie in (0, 1), got {rho}")
     header = ["rho", "class", "topology", "count", "analytic_mean",
               "sim_mean", "sim_ci95", "rel_err", "error"]
-    results = {
-        topo: sweep(scenario, topo, scenario.rho_list, args.horizon,
-                    args.warmup, seed_base=args.seed)
+    # point by point, coupled then decoupled: the decoupled run takes over
+    # the coupled run's draws (same seed, arrivals halved) instead of drawing
+    points = [
+        (topo, *sweep(scenario, topo, [rho], args.horizon, args.warmup,
+                      seed_base=args.seed + i))
+        for i, rho in enumerate(scenario.rho_list)
         for topo in (Topology.COUPLED, Topology.DECOUPLED)
-    }
+    ]
+    sim._take_held()  # the last point's draws: no later run here takes them
     with _open_out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i, rho in enumerate(scenario.rho_list):
-            for topo in (Topology.COUPLED, Topology.DECOUPLED):
-                point = results[topo][i]
-                analytic = {"short": None, "long": None}
-                if point.summary:
-                    predict = (mg1_priority_sojourn if topo is Topology.COUPLED
-                               else mg2_priority_sojourn)(scenario.config_for(rho))
-                    analytic = {"short": predict.mean_short, "long": predict.mean_long}
-                for kind in ("short", "long"):
-                    stats = getattr(point.summary, kind) if point.summary else None
-                    sim_mean = stats.mean if stats and stats.count else None
-                    sim_ci = stats.ci95 if stats and stats.count else None
-                    ana = analytic[kind]
-                    rel = (abs(sim_mean - ana) / ana
-                           if sim_mean is not None and ana else None)
-                    w.writerow([
-                        _fmt(rho), kind, topo.value,
-                        _fmt(stats.count if stats else None),
-                        _fmt(ana), _fmt(sim_mean), _fmt(sim_ci), _fmt(rel),
-                        point.error or "",
-                    ])
+        for topo, point in points:
+            rho = point.rho
+            analytic = {"short": None, "long": None}
+            if point.summary:
+                predict = (mg1_priority_sojourn if topo is Topology.COUPLED
+                           else mg2_priority_sojourn)(scenario.config_for(rho))
+                analytic = {"short": predict.mean_short, "long": predict.mean_long}
+            for kind in ("short", "long"):
+                stats = getattr(point.summary, kind) if point.summary else None
+                sim_mean = stats.mean if stats and stats.count else None
+                sim_ci = stats.ci95 if stats and stats.count else None
+                ana = analytic[kind]
+                rel = (abs(sim_mean - ana) / ana
+                       if sim_mean is not None and ana else None)
+                w.writerow([
+                    _fmt(rho), kind, topo.value,
+                    _fmt(stats.count if stats else None),
+                    _fmt(ana), _fmt(sim_mean), _fmt(sim_ci), _fmt(rel),
+                    point.error or "",
+                ])
     return 0
+
+
+_MAX_GRID_ROWS = 10**7
 
 
 def cmd_residual_cdf(args: argparse.Namespace) -> int:
@@ -131,9 +138,12 @@ def cmd_residual_cdf(args: argparse.Namespace) -> int:
 
     Each column is computed over the whole grid before `--out` is opened.
     """
-    if not args.grid_step > 0:
-        raise ValueError(f"--grid-step must be > 0, got {args.grid_step}")
+    if not 0 < args.grid_step < math.inf:
+        raise ValueError(f"--grid-step must be finite and > 0, got {args.grid_step}")
     model = _residual_model(args)
+    if args.s_long / args.grid_step > _MAX_GRID_ROWS:
+        raise ValueError(f"--grid-step {args.grid_step} gives more than {_MAX_GRID_ROWS} "
+                         f"grid rows up to --s-long {args.s_long}")
     n = args.samples
     rng = np.random.default_rng(args.seed)
     draws = (model.sample(rng, n), np.minimum(*model.sample(rng, (n, 2)).T))

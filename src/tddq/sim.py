@@ -18,6 +18,14 @@ reference `_schedule_py`; each start's record carries its own arrival and
 duration. Statistics, packets and the trace are then built from what the loop
 wrote: packets as one `PacketColumns` record of read-only arrays, which yields
 `Packet` rows only when iterated, and the trace as CSV rows that end in CRLF.
+
+A finished run then hands its draws to the next run in the process, which
+takes them as it starts. It uses them only if it would draw the same arrays
+with the arrivals scaled by a power of two: the same seed, config, service
+mode and draw sizes. The two topologies scale the config's rates by their
+server count, so a decoupled run after a coupled one with the same seed (as
+`sojourn-sweep` makes at each load point) halves the arrivals in place,
+exactly, instead of drawing again. Otherwise it drops them before it draws.
 """
 
 from __future__ import annotations
@@ -26,9 +34,11 @@ import ctypes
 import functools
 import itertools
 import math
+import operator
 import os
 import subprocess
 import tempfile
+import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -207,7 +217,9 @@ def run(
     time passes 2**53 slots before `horizon` starts, raises ValueError.
 
     Each class draws its arrivals and service durations up front from its own
-    streams of `SeedSequence(seed)`; the schedule then runs in a compiled
+    streams of `SeedSequence(seed)`, or takes the previous run's draws when
+    they are the same up to an exact rescale (see the module docstring); the
+    results are the same either way. The schedule then runs in a compiled
     loop, built on the first call in a process, or in the bit-identical
     Python reference loop (with a RuntimeWarning) when no C compiler works.
 
@@ -258,9 +270,14 @@ def run(
     n_s, n_l = _initial_draws(horizon, share_s), _initial_draws(horizon, 1.0 - share_s)
     collect = keep_packets or bool(trace_path)
     schedule = _scheduler()
+    key = _draw_key(seed, config, slot_aligned, exponential_service)
+    # the held draws, taken whether or not they fit, so that unfit ones are
+    # freed before anything is drawn
+    reused = _reuse(_take_held(), key, n_servers, (lam_s, lam_l), (n_s, n_l))
     while True:
-        short = _draw(seqs_s, lam_s, short_service, n_s)
-        long_ = _draw(seqs_l, lam_l, long_service, n_l)
+        short, long_ = reused or (_draw(seqs_s, lam_s, short_service, n_s),
+                                  _draw(seqs_l, lam_l, long_service, n_l))
+        reused = None
         out = _Schedule(n_servers, horizon, warmup, short, long_, collect)
         code = schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
         if code != _NEED_MORE:
@@ -284,7 +301,9 @@ def run(
     if trace_path:
         _write_trace(trace_path, _trace_events(out, short.arrivals[:n_short],
                                                long_.arrivals[:n_long]), slot)
-    del short, long_  # the draws are done with: keep them out of the peak below
+    # nothing returned views the draws, so the next run may rescale them in place
+    if key is not None:
+        _hold(_HeldDraws(key, n_servers, (short, long_)))
 
     span = t_end - t_w
     if span > 0:
@@ -368,6 +387,70 @@ def _draw(seqs, lam: float, service, n: int) -> _ClassDraws:
             np.cumsum(times, out=times)
         services[lo:hi] = service(durations, hi - lo)
     return _ClassDraws(arrivals, services, limit)
+
+
+@dataclass(frozen=True)
+class _HeldDraws:
+    """A finished run's draws, held for the next run() in the process."""
+
+    key: tuple  # (seed, config, slot_aligned, exponential_service)
+    n_servers: int
+    draws: tuple[_ClassDraws, _ClassDraws]  # (short, long)
+
+
+_held: list[_HeldDraws] = []  # at most one; each run() takes it as it starts
+_held_lock = threading.Lock()
+_RESCALABLE = (2.0**-256, 2.0**256)  # rates whose draws scale exactly by 0.5 and 2
+
+
+def _draw_key(seed, config: TrafficConfig, slot_aligned: bool,
+              exponential_service: bool) -> tuple | None:
+    """What fixes a run's draws besides its rates and sizes; None for a seed
+    that is not one integer (None draws fresh entropy), whose draws are never
+    shared."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        return None
+    return (seed, config, slot_aligned, exponential_service)
+
+
+def _take_held() -> _HeldDraws | None:
+    with _held_lock:
+        return _held.pop() if _held else None
+
+
+def _hold(held: _HeldDraws) -> None:
+    with _held_lock:
+        _held[:] = [held]
+
+
+def _reuse(held: _HeldDraws | None, key: tuple | None, n_servers: int,
+           rates: tuple[float, float],
+           sizes: tuple[int, int]) -> tuple[_ClassDraws, _ClassDraws] | None:
+    """`held`'s draws with the arrivals rescaled in place, if they are what
+    `_draw` would return for this run, at `rates` and `sizes`; else None.
+
+    A run's rates are its config's times its server count (times the slot),
+    so with the same key they differ from the held run's by the power of two
+    `held.n_servers / n_servers`. Gaps are standard exponentials (0, or
+    between 2**-100 and 2**10) over the rate, arrivals their running sums; for
+    rates within `_RESCALABLE` all of them stay in float64's normal range,
+    where scaling by a power of two commutes with each rounding. The
+    rescaled arrivals are then the fresh draw's, bit for bit.
+    """
+    if held is None or held.key != key:
+        return None
+    for draws, rate, n in zip(held.draws, rates, sizes):
+        if draws.limit != (n if rate > 0 else -1):
+            return None
+        if rate and not _RESCALABLE[0] <= rate <= _RESCALABLE[1]:
+            return None
+    scale = held.n_servers / n_servers
+    if scale != 1.0:
+        for draws in held.draws:
+            np.multiply(draws.arrivals, scale, out=draws.arrivals)
+    return held.draws
 
 
 class _Schedule:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tddq import ResidualModel, Topology, cli, sim
+from tddq import ResidualModel, Topology, cli, load_scenario, sim
 from tddq.cli import main
 
 FIG3_CFG = str(Path(__file__).resolve().parents[1] / "experiments" / "fig3.cfg")
@@ -103,13 +103,17 @@ class TestSojournSweep:
     def test_sweeps_and_runs_in_this_process(self, tmp_path, monkeypatch):
         # the benchmark reads each sweep by wrapping cli.sweep (the topology
         # is its second positional argument) and times each run by wrapping
-        # sim.run; both must see every call, in this thread
-        topologies, run_threads = [], []
+        # sim.run; both must see every call, in this thread. The sweep goes
+        # point by point, coupled then decoupled, one load point per call
+        topologies, covered, run_threads = [], [], []
 
         def wrap_sweep(sweep):
             def wrapper(*args, **kwargs):
                 topologies.append(args[1])
-                return sweep(*args, **kwargs)
+                result = sweep(*args, **kwargs)
+                assert len(args[2]) == len(result) == 1
+                covered.extend((args[1], point.rho) for point in result)
+                return result
             return wrapper
 
         def wrap_run(run):
@@ -122,8 +126,27 @@ class TestSojournSweep:
         monkeypatch.setattr(sim, "run", wrap_run(sim.run))
         assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "2000",
                      "--out", str(tmp_path / "fig3.csv")]) == 0
-        assert topologies == [Topology.COUPLED, Topology.DECOUPLED]
+        assert topologies == [Topology.COUPLED, Topology.DECOUPLED] * 9
+        rhos = load_scenario(FIG3_CFG).rho_list
+        assert len(covered) == len(set(covered)) == 2 * len(rhos) == 18
+        assert set(covered) == {(topo, rho) for topo in Topology for rho in rhos}
         assert run_threads == [threading.get_ident()] * 18
+
+    def test_each_point_draws_once_for_both_topologies(self, tmp_path, monkeypatch):
+        # the decoupled run at each point takes the coupled run's draws, so
+        # 9 points x 2 classes draw 18 times, not 36
+        draws = []
+
+        def counting(*args):
+            draws.append(args)
+            return draw(*args)
+
+        draw = sim._draw
+        monkeypatch.setattr(sim, "_held", [])  # nothing held from an earlier run
+        monkeypatch.setattr(sim, "_draw", counting)
+        assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "2000",
+                     "--out", str(tmp_path / "fig3.csv")]) == 0
+        assert len(draws) == 18
 
     def test_empty_rho_list_gives_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -481,6 +504,21 @@ class TestBadInput:
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "1e-300", "1e-9", "9.9e-7"])
+    def test_grid_step_too_fine_or_not_finite(self, tmp_path, capsys, monkeypatch, step):
+        # rejected before the Monte Carlo draws or the grid are allocated:
+        # at 1e-9 the grid alone would take 80 GB
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before rejecting --grid-step")
+
+        monkeypatch.setattr(ResidualModel, "sample", no_sampling)
+        out = tmp_path / "res.csv"
+        assert main(["residual-cdf", "--s-long", "10", "--grid-step", step,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--grid-step" in err
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):

@@ -1,6 +1,7 @@
 """Simulator unit tests: closed-form oracles, scheduling invariants,
-conservation diagnostics, determinism, sweep behaviour, the trace dump, and
-the compiled scheduling loop against its Python reference.
+conservation diagnostics, determinism, sweep behaviour, the trace dump, the
+compiled scheduling loop against its Python reference, and draws handed
+from one run to the next.
 
 Heavier statistical checks (10^6-departure runs at the stated tolerances)
 live in test_acceptance.py; runs here are sized for speed with tolerances
@@ -11,6 +12,8 @@ import csv
 import math
 import shutil
 import subprocess
+import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -429,12 +432,16 @@ def compiled_kernel():
     return kernel
 
 
+def traced_run(trace_path, **kwargs):
+    """run() with packets kept and a trace written: (summary, trace bytes)."""
+    summary = run(keep_packets=True, trace_path=str(trace_path), **kwargs)
+    return summary, trace_path.read_bytes()
+
+
 def run_on(scheduler, trace_path, **kwargs):
-    """run() with the given scheduling loop, packets kept and a trace written."""
+    """`traced_run` with the given scheduling loop."""
     with mock.patch.object(sim, "_scheduler", lambda: scheduler):
-        summary = run(keep_packets=True, trace_path=str(trace_path), **kwargs)
-    with open(trace_path, "rb") as fh:
-        return summary, fh.read()
+        return traced_run(trace_path, **kwargs)
 
 
 class TestCompiledKernel:
@@ -508,3 +515,170 @@ class TestCompiledKernel:
         monkeypatch.setattr(sim, "_scheduler", lambda: lambda *args: sim._BREACH)
         with pytest.raises(RuntimeError, match="work conservation"):
             run(MM1_CONFIG, Topology.COUPLED, 100, seed=1)
+
+
+OTHER = {Topology.COUPLED: Topology.DECOUPLED, Topology.DECOUPLED: Topology.COUPLED}
+
+
+@st.composite
+def run_sequences(draw):
+    """Jobs that share a seed (the same run, another horizon, another service
+    mode, the same rates with one-slot long TTIs, another config) and an
+    order of (job, topology) calls to them."""
+    base = draw(small_runs())
+    del base["topology"]
+    horizon = draw(st.integers(1, 300))
+    config = base["config"]
+    one_slot = RateAdaptationTable.from_tti_durations([], [config.slot])
+    jobs = [
+        base,
+        dict(base, horizon=horizon, warmup=min(base["warmup"], horizon - 1)),
+        dict(base, slot_aligned=False, exponential_service=not base["exponential_service"]),
+        dict(base, config=replace(config, table=one_slot)),
+        dict(base, config=MM1_CONFIG),
+    ]
+    steps = draw(st.lists(st.tuples(st.integers(0, len(jobs) - 1),
+                                    st.sampled_from(list(Topology))), min_size=2, max_size=6))
+    return jobs, steps
+
+
+def unit_services(rng, n):
+    return np.ones(n)
+
+
+def small_initial_draws(factor):
+    """`_initial_draws` at `factor` of a class's expected share, so that runs
+    often draw again at twice the size."""
+    return lambda horizon, share: max(1, int(horizon * share * factor))
+
+
+class TestSharedDraws:
+    """A finished run hands its draws to the next run(), which takes them,
+    with the arrivals rescaled in place, when it would draw the same arrays.
+    Every run must equal a run with nothing held, bit for bit."""
+
+    @staticmethod
+    def fresh(tmp, name, **kwargs):
+        with mock.patch.object(sim, "_held", []):
+            return traced_run(tmp / f"{name}.csv", **kwargs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_sequences(), st.sampled_from([None, 0.5, 0.9, 1.0, 1.1]))
+    def test_any_order_of_runs_matches_runs_with_nothing_held(
+            self, tmp_path_factory, sequence, factor):
+        tmp = tmp_path_factory.mktemp("shared")
+        jobs, steps = sequence
+        draws = (sim._initial_draws if factor is None else small_initial_draws(factor))
+        with mock.patch.object(sim, "_initial_draws", draws):
+            expected = {
+                (job, topo): self.fresh(tmp, f"fresh-{job}-{topo.value}",
+                                        topology=topo, **jobs[job])
+                for job, topo in set(steps)
+            }
+            with mock.patch.object(sim, "_held", []):
+                for i, (job, topo) in enumerate(steps):
+                    got = traced_run(tmp / f"step-{i}.csv", topology=topo, **jobs[job])
+                    assert got == expected[(job, topo)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(2.0**-256, 2.0**255), st.integers(0, 2**32 - 1), st.integers(1, 3000),
+           st.sampled_from([(1, 2), (2, 1), (2, 2)]))
+    def test_rescaled_draws_are_the_fresh_draws(self, rate, seed, n, servers):
+        # draws at rate * n_servers for a run with n_servers, held by a run
+        # with the other server count
+        held_servers, n_servers = servers
+        seqs = np.random.SeedSequence(seed).spawn(2)
+        idle = sim._draw(seqs, 0.0, unit_services, n)
+        key = (seed, MM1_CONFIG, True, False)
+        held = sim._HeldDraws(key, held_servers,
+                              (sim._draw(seqs, rate * held_servers, unit_services, n), idle))
+        fresh = sim._draw(seqs, rate * n_servers, unit_services, n)
+        got = sim._reuse(held, key, n_servers, (rate * n_servers, 0.0), (n, n))
+        assert got is not None
+        assert np.array_equal(got[0].arrivals, fresh.arrivals)
+        assert np.array_equal(got[0].services, fresh.services)
+
+    @pytest.mark.parametrize("rate", [1e-310, 2.0**-257, 2.0**257, math.inf])
+    def test_rates_outside_the_exact_range_draw_afresh(self, rate):
+        seqs = np.random.SeedSequence(1).spawn(2)
+        with np.errstate(over="ignore", divide="ignore"):
+            draws = sim._draw(seqs, rate, unit_services, 10)
+        key = (1, MM1_CONFIG, True, False)
+        held = sim._HeldDraws(key, 1, (draws, sim._draw(seqs, 0.0, unit_services, 10)))
+        assert sim._reuse(held, key, 1, (rate, 0.0), (10, 10)) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_runs())
+    def test_concurrent_runs_match_serial_ones(self, tmp_path_factory, kwargs):
+        tmp = tmp_path_factory.mktemp("threads")
+        first = kwargs.pop("topology")
+        orders = ([first, OTHER[first], first], [OTHER[first], first, OTHER[first]])
+        expected = {topo: self.fresh(tmp, topo.value, topology=topo, **kwargs)
+                    for topo in Topology}
+        start = threading.Barrier(len(orders))
+        results = [[] for _ in orders]
+
+        def work(k):
+            start.wait()
+            for i, topo in enumerate(orders[k]):
+                results[k].append(traced_run(tmp / f"t{k}-{i}.csv", topology=topo, **kwargs))
+
+        with mock.patch.object(sim, "_held", []):
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        for order, got in zip(orders, results):
+            assert got == [expected[topo] for topo in order]
+
+    def test_draws_that_run_short_are_drawn_again(self, tmp_path, monkeypatch):
+        # with 2431 long arrivals drawn, the coupled run (seed 0) finishes
+        # after taking in 2430, the decoupled one needs all 2431 and draws
+        # again at twice the size, after taking the coupled run's draws
+        kwargs = dict(config=fig3_config(0.9), horizon=3_000, seed=0)
+        monkeypatch.setattr(sim, "_initial_draws",
+                            lambda horizon, share: 10_000 if share < 0.5 else 2431)
+        expected = self.fresh(tmp_path, "fresh", topology=Topology.DECOUPLED, **kwargs)
+        monkeypatch.setattr(sim, "_held", [])
+        run(topology=Topology.COUPLED, **kwargs)
+        sizes, passes = [], []
+        draw, schedule = sim._draw, sim._scheduler()
+
+        def counting_draw(*args):
+            sizes.append(args[3])
+            return draw(*args)
+
+        def counting_schedule(*args):
+            passes.append(1)
+            return schedule(*args)
+
+        monkeypatch.setattr(sim, "_draw", counting_draw)
+        got = run_on(counting_schedule, tmp_path / "got.csv",
+                     topology=Topology.DECOUPLED, **kwargs)
+        assert got == expected
+        assert len(passes) == 2 and sizes == [20_000, 4862]  # only the second pass drew
+
+    def test_handed_over_draws_leave_earlier_outputs_alone(self, tmp_path, monkeypatch):
+        # each run rescales the previous run's draws in place; what the
+        # previous run returned and wrote must not view them
+        kwargs = dict(config=fig3_config(0.7), horizon=5_000, seed=23,
+                      keep_packets=True)
+        monkeypatch.setattr(sim, "_held", [])
+        draw_calls = []
+        draw = sim._draw
+        monkeypatch.setattr(sim, "_draw", lambda *args: draw_calls.append(1) or draw(*args))
+        earlier = []
+        for i, topo in enumerate([Topology.COUPLED, Topology.DECOUPLED, Topology.COUPLED]):
+            path = tmp_path / f"{i}.csv"
+            summary = run(topology=topo, trace_path=str(path), **kwargs)
+            held = sim._held[0].draws
+            for packets, columns, trace_path, trace in earlier:
+                assert all(np.array_equal(a, b) for a, b in zip(packets._columns(), columns))
+                assert trace_path.read_bytes() == trace
+            assert not any(np.shares_memory(column, array)
+                           for column in summary.packets._columns()
+                           for d in held for array in (d.arrivals, d.services))
+            earlier.append((summary.packets, [c.copy() for c in summary.packets._columns()],
+                            path, path.read_bytes()))
+        assert len(draw_calls) == 2  # the later runs took the first run's draws
