@@ -9,6 +9,8 @@
  * times and service durations, ending in a +inf sentinel; lim_x is the
  * number of real arrivals, or -1 for a class that never arrives. Reaching
  * lim_x means the draw ran short: the caller draws more and calls again.
+ * The arrivals are drawn at the per-server rate, so arrival k of an
+ * n-server run reads as arr_x[k] * (1.0 / n), which is exact for n = 1, 2.
  *
  * Outputs: busy[n_servers]; the windowed sojourns soj_s/soj_l, in start
  * order; acc = {integral of N(t), window open, window close};
@@ -38,6 +40,7 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
     long long started = 0, k_s = 0, k_l = 0;
     double n_int = 0.0, t_w = 0.0, t = 0.0;
     int warm = 0;
+    const double per_server = 1.0 / (double)n_servers;
     long long i, j, j2;
 
     for (j = 0; j < n_servers; j++) {
@@ -53,7 +56,7 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
             if (free_[j] < t)
                 t = free_[j];
         if (hs == ns && hl == nl) {
-            double a = arr_s[ns] < arr_l[nl] ? arr_s[ns] : arr_l[nl];
+            double a = (arr_s[ns] < arr_l[nl] ? arr_s[ns] : arr_l[nl]) * per_server;
             double avail = aligned ? ceil(a) : a;
             if (avail > t)
                 t = avail;
@@ -64,9 +67,9 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
         if (t >= TDDQ_EXACT_SLOTS)
             return TDDQ_STALLED;
 
-        while (arr_s[ns] <= t)
+        while (arr_s[ns] * per_server <= t)
             ns++;
-        while (arr_l[nl] <= t)
+        while (arr_l[nl] * per_server <= t)
             nl++;
         if (ns == lim_s || nl == lim_l)
             return TDDQ_NEED_MORE;
@@ -78,11 +81,11 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
                 continue;
             if (hs < ns) {
                 cls = 0;
-                arr = arr_s[hs];
+                arr = arr_s[hs] * per_server;
                 dur = dur_s[hs++];
             } else if (hl < nl) {
                 cls = 1;
-                arr = arr_l[hl];
+                arr = arr_l[hl] * per_server;
                 dur = dur_l[hl++];
             } else {
                 break;
@@ -138,9 +141,9 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
         }
     }
     for (i = hs; i < ns; i++)
-        n_int += t - (arr_s[i] > t_w ? arr_s[i] : t_w);
+        n_int += t - fmax(arr_s[i] * per_server, t_w);
     for (i = hl; i < nl; i++)
-        n_int += t - (arr_l[i] > t_w ? arr_l[i] : t_w);
+        n_int += t - fmax(arr_l[i] * per_server, t_w);
 
     acc[0] = n_int;
     acc[1] = t_w;

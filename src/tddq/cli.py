@@ -24,7 +24,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import sim
 from .analytic import (
     _FAMILIES,
     ResidualModel,
@@ -95,15 +94,15 @@ def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"rho values must lie in (0, 1), got {rho}")
     header = ["rho", "class", "topology", "count", "analytic_mean",
               "sim_mean", "sim_ci95", "rel_err", "error"]
-    # point by point, coupled then decoupled: the decoupled run takes over
-    # the coupled run's draws (same seed, arrivals halved) instead of drawing
+    # point by point, coupled then decoupled: the decoupled run takes the
+    # coupled run's draws (same seed, per-server arrivals) instead of drawing,
+    # and leaves nothing held
     points = [
         (topo, *sweep(scenario, topo, [rho], args.horizon, args.warmup,
                       seed_base=args.seed + i))
         for i, rho in enumerate(scenario.rho_list)
         for topo in (Topology.COUPLED, Topology.DECOUPLED)
     ]
-    sim._take_held()  # the last point's draws: no later run here takes them
     with _open_out(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -316,7 +315,7 @@ def _int_at_least(low: int):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_int_at_least(0), default=12345)
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:

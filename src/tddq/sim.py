@@ -11,21 +11,22 @@ lets two servers share the same two queues, keeping per-server utilization
 equal to the coupled baseline.
 
 A run has three steps. Each class draws its arrival times and service
-durations as arrays (`_draw`); a run that needs more arrivals draws again, at
-twice the size, from the same seeds. The boundary loop schedules them: the
-C kernel in `_schedule.c`, compiled on first use, or its bit-identical Python
-reference `_schedule_py`; each start's record carries its own arrival and
-duration. Statistics, packets and the trace are then built from what the loop
-wrote: packets as one `PacketColumns` record of read-only arrays, which yields
-`Packet` rows only when iterated, and the trace as CSV rows that end in CRLF.
+durations as read-only arrays (`_draw`), the arrivals at the config's
+per-server rate whatever the topology; a run that needs more arrivals draws
+again, at twice the size, from the same seeds. The boundary loop schedules
+them, reading arrival k of an n-server run as `arrivals[k] * (1.0 / n)`,
+which is exact: the C kernel in `_schedule.c`, compiled on first use, or its
+bit-identical Python reference `_schedule_py`; each start's record carries
+its own arrival and duration. Statistics, packets and the trace are then
+built from what the loop wrote: packets as one `PacketColumns` record of
+read-only arrays, which yields `Packet` rows only when iterated, and the
+trace as CSV rows that end in CRLF.
 
-A finished run then hands its draws to the next run in the process, which
-takes them as it starts. It uses them only if it would draw the same arrays
-with the arrivals scaled by a power of two: the same seed, config, service
-mode and draw sizes. The two topologies scale the config's rates by their
-server count, so a decoupled run after a coupled one with the same seed (as
-`sojourn-sweep` makes at each load point) halves the arrivals in place,
-exactly, instead of drawing again. Otherwise it drops them before it draws.
+A run that drew leaves its draws in a one-place slot, keyed by what fixes
+them: the seed, config and service mode. Every run empties the slot as it
+starts and schedules the held draws if the key matches and they reach its
+own sizes, so a decoupled run after a coupled one with the same seed (as
+`sojourn-sweep` makes at each load point) draws nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import operator
 import os
 import subprocess
 import tempfile
-import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -216,12 +216,15 @@ def run(
     seed) yields identical summaries. Traffic that is zero, or so sparse that
     time passes 2**53 slots before `horizon` starts, raises ValueError.
 
-    Each class draws its arrivals and service durations up front from its own
-    streams of `SeedSequence(seed)`, or takes the previous run's draws when
-    they are the same up to an exact rescale (see the module docstring); the
-    results are the same either way. The schedule then runs in a compiled
-    loop, built on the first call in a process, or in the bit-identical
-    Python reference loop (with a RuntimeWarning) when no C compiler works.
+    Each class draws its arrivals (at the per-server rate) and service
+    durations up front from its own streams of `SeedSequence(seed)`, or takes
+    the previous run's draws when they fit (see the module docstring); the
+    results are the same either way. A run that drew leaves its draws held
+    for the next run() in the process, which frees them as it starts: a lone
+    run keeps 16 bytes per drawn arrival until then. The schedule runs in a
+    compiled loop, built on the first call in a process, or in the
+    bit-identical Python reference loop (with a RuntimeWarning) when no C
+    compiler works.
 
     `slot_aligned=False` lets service start the moment a server and packet are
     both available; `exponential_service=True` additionally replaces the
@@ -244,10 +247,10 @@ def run(
         raise ValueError("exponential service breaks slot alignment; pass slot_aligned=False")
     n_servers = topology.n_servers
     slot = config.slot
-    # work in slot units so aligned boundaries are exact integers; traffic is
-    # scaled by the server count so that per-server load matches
-    lam_s = config.lambda_short * n_servers * slot
-    lam_l = config.lambda_long * n_servers * slot
+    # work in slot units so aligned boundaries are exact integers; the loop
+    # scales the per-server arrivals by 1/n_servers
+    lam_s = config.lambda_short * slot
+    lam_l = config.lambda_long * slot
     if lam_s + lam_l == 0.0:
         raise ValueError("no traffic: lambda_short and lambda_long are both 0, "
                          "so no packet is ever served")
@@ -271,18 +274,20 @@ def run(
     collect = keep_packets or bool(trace_path)
     schedule = _scheduler()
     key = _draw_key(seed, config, slot_aligned, exponential_service)
-    # the held draws, taken whether or not they fit, so that unfit ones are
-    # freed before anything is drawn
-    reused = _reuse(_take_held(), key, n_servers, (lam_s, lam_l), (n_s, n_l))
+    draws = _take_draws(key, (n_s, n_l))
+    drew = draws is None
     while True:
-        short, long_ = reused or (_draw(seqs_s, lam_s, short_service, n_s),
-                                  _draw(seqs_l, lam_l, long_service, n_l))
-        reused = None
+        short, long_ = draws or (_draw(seqs_s, lam_s, short_service, n_s),
+                                 _draw(seqs_l, lam_l, long_service, n_l))
         out = _Schedule(n_servers, horizon, warmup, short, long_, collect)
         code = schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
         if code != _NEED_MORE:
             break
-        n_s, n_l = 2 * n_s, 2 * n_l  # same streams: the longer draw extends the shorter
+        # same streams: the longer draw extends the shorter
+        n_s, n_l = 2 * max(n_s, short.limit), 2 * max(n_l, long_.limit)
+        draws, drew = None, True
+    if drew and key is not None:
+        _draw_slot[:] = [(key, (short, long_))]
     if code == _STALLED:
         raise ValueError("vanishing traffic: time passes 2**53 slots, where whole "
                          f"slots are no longer exact, before {horizon} packets are served")
@@ -294,16 +299,15 @@ def run(
     n_int, t_w, t_end = out.acc.tolist()
     n_short, n_long, k_s, k_l = out.cnt.tolist()
     # each boundary takes in every arrival up to itself, so the window's
-    # arrivals are those after its opening boundary, up to its closing one
-    n_arr = (n_short + n_long - int(np.searchsorted(short.arrivals, t_w, "right"))
-             - int(np.searchsorted(long_.arrivals, t_w, "right")))
+    # arrivals are those after its opening boundary (per server: times
+    # n_servers, exactly), up to its closing one
+    opening = t_w * n_servers
+    n_arr = (n_short + n_long - int(np.searchsorted(short.arrivals, opening, "right"))
+             - int(np.searchsorted(long_.arrivals, opening, "right")))
     packets = _packet_columns(out.records, slot) if keep_packets else None
     if trace_path:
         _write_trace(trace_path, _trace_events(out, short.arrivals[:n_short],
-                                               long_.arrivals[:n_long]), slot)
-    # nothing returned views the draws, so the next run may rescale them in place
-    if key is not None:
-        _hold(_HeldDraws(key, n_servers, (short, long_)))
+                                               long_.arrivals[:n_long], n_servers), slot)
 
     span = t_end - t_w
     if span > 0:
@@ -386,27 +390,18 @@ def _draw(seqs, lam: float, service, n: int) -> _ClassDraws:
                 times[0] += arrivals[lo - 1]
             np.cumsum(times, out=times)
         services[lo:hi] = service(durations, hi - lo)
+    arrivals.setflags(write=False)
+    services.setflags(write=False)
     return _ClassDraws(arrivals, services, limit)
 
 
-@dataclass(frozen=True)
-class _HeldDraws:
-    """A finished run's draws, held for the next run() in the process."""
-
-    key: tuple  # (seed, config, slot_aligned, exponential_service)
-    n_servers: int
-    draws: tuple[_ClassDraws, _ClassDraws]  # (short, long)
-
-
-_held: list[_HeldDraws] = []  # at most one; each run() takes it as it starts
-_held_lock = threading.Lock()
-_RESCALABLE = (2.0**-256, 2.0**256)  # rates whose draws scale exactly by 0.5 and 2
+_draw_slot: list[tuple[tuple, tuple[_ClassDraws, _ClassDraws]]] = []  # at most one (key, draws)
 
 
 def _draw_key(seed, config: TrafficConfig, slot_aligned: bool,
               exponential_service: bool) -> tuple | None:
-    """What fixes a run's draws besides its rates and sizes; None for a seed
-    that is not one integer (None draws fresh entropy), whose draws are never
+    """What fixes a run's draws besides their sizes; None for a seed that is
+    not one integer (None draws fresh entropy), whose draws are never
     shared."""
     try:
         seed = operator.index(seed)
@@ -415,42 +410,23 @@ def _draw_key(seed, config: TrafficConfig, slot_aligned: bool,
     return (seed, config, slot_aligned, exponential_service)
 
 
-def _take_held() -> _HeldDraws | None:
-    with _held_lock:
-        return _held.pop() if _held else None
+def _take_draws(key: tuple | None,
+                sizes: tuple[int, int]) -> tuple[_ClassDraws, _ClassDraws] | None:
+    """The held draws if `key` made them and they reach `sizes`, else None.
 
-
-def _hold(held: _HeldDraws) -> None:
-    with _held_lock:
-        _held[:] = [held]
-
-
-def _reuse(held: _HeldDraws | None, key: tuple | None, n_servers: int,
-           rates: tuple[float, float],
-           sizes: tuple[int, int]) -> tuple[_ClassDraws, _ClassDraws] | None:
-    """`held`'s draws with the arrivals rescaled in place, if they are what
-    `_draw` would return for this run, at `rates` and `sizes`; else None.
-
-    A run's rates are its config's times its server count (times the slot),
-    so with the same key they differ from the held run's by the power of two
-    `held.n_servers / n_servers`. Gaps are standard exponentials (0, or
-    between 2**-100 and 2**10) over the rate, arrivals their running sums; for
-    rates within `_RESCALABLE` all of them stay in float64's normal range,
-    where scaling by a power of two commutes with each rounding. The
-    rescaled arrivals are then the fresh draw's, bit for bit.
+    The slot is emptied either way, so that unfit draws are freed before
+    anything is drawn. A longer draw starts with the shorter one, and a pass
+    never reads past the first arrival it has not taken in, so longer draws
+    give the same results. Taking and filling the slot are each one list
+    operation, atomic: threads racing for it cost at most one extra draw.
     """
-    if held is None or held.key != key:
+    try:
+        held_key, draws = _draw_slot.pop()
+    except IndexError:
         return None
-    for draws, rate, n in zip(held.draws, rates, sizes):
-        if draws.limit != (n if rate > 0 else -1):
-            return None
-        if rate and not _RESCALABLE[0] <= rate <= _RESCALABLE[1]:
-            return None
-    scale = held.n_servers / n_servers
-    if scale != 1.0:
-        for draws in held.draws:
-            np.multiply(draws.arrivals, scale, out=draws.arrivals)
-    return held.draws
+    if held_key != key or any(0 <= d.limit < n for d, n in zip(draws, sizes)):
+        return None
+    return draws
 
 
 class _Schedule:
@@ -530,8 +506,10 @@ def _scheduler():
 def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
                  short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
     """Reference for `_schedule.c`: the same operations in the same order."""
-    arr_s, dur_s, lim_s = short.arrivals.tolist(), short.services.tolist(), short.limit
-    arr_l, dur_l, lim_l = long_.arrivals.tolist(), long_.services.tolist(), long_.limit
+    per_server = 1.0 / n_servers  # arrivals are drawn per server
+    arr_s, arr_l = ((d.arrivals * per_server).tolist() for d in (short, long_))
+    dur_s, dur_l = short.services.tolist(), long_.services.tolist()
+    lim_s, lim_l = short.limit, long_.limit
     collect = out.records is not None
     ceil, inf, exact_slots = math.ceil, math.inf, _EXACT_SLOTS
     free = [0.0] * n_servers
@@ -627,15 +605,18 @@ def _packet_columns(records: tuple, scale: float) -> PacketColumns:
 
 
 def _trace_events(out: _Schedule, short_arrivals: np.ndarray,
-                  long_arrivals: np.ndarray) -> tuple:
+                  long_arrivals: np.ndarray, n_servers: int) -> tuple:
     """The trace's events in the order the schedule made them: arrivals, short
     before long, then starts and departures in start order. `_write_trace`
-    sorts them stably, so that order settles ties of time and rank."""
+    sorts them stably, so that order settles ties of time and rank. The
+    arrivals are per server, as drawn, and are scaled as the loop reads them."""
     cls, _, duration, start, server = out.records
     n_short, n_long, n_starts = len(short_arrivals), len(long_arrivals), len(start)
     n_arr = n_short + n_long
+    time = np.concatenate((short_arrivals, long_arrivals, start, start + duration))
+    time[:n_arr] *= 1.0 / n_servers
     return (
-        np.concatenate((short_arrivals, long_arrivals, start, start + duration)),
+        time,
         np.concatenate((np.full(n_arr, _ARRIVAL, np.uint8), np.full(n_starts, _START, np.uint8),
                         np.full(n_starts, _DEPART, np.uint8))),
         np.concatenate((np.zeros(n_short, np.uint8), np.ones(n_long, np.uint8), cls, cls)),

@@ -134,7 +134,7 @@ class TestSojournSweep:
 
     def test_each_point_draws_once_for_both_topologies(self, tmp_path, monkeypatch):
         # the decoupled run at each point takes the coupled run's draws, so
-        # 9 points x 2 classes draw 18 times, not 36
+        # 9 points x 2 classes draw 18 times, not 36, and nothing stays held
         draws = []
 
         def counting(*args):
@@ -142,11 +142,29 @@ class TestSojournSweep:
             return draw(*args)
 
         draw = sim._draw
-        monkeypatch.setattr(sim, "_held", [])  # nothing held from an earlier run
+        monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held from an earlier run
         monkeypatch.setattr(sim, "_draw", counting)
         assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "2000",
                      "--out", str(tmp_path / "fig3.csv")]) == 0
         assert len(draws) == 18
+        assert sim._draw_slot == []
+
+    def test_longer_held_draws_are_taken(self, tmp_path, monkeypatch):
+        # drawing 1.01x of each class's share, one point's coupled run runs
+        # short and draws again at twice the size; its decoupled run takes
+        # those longer draws instead of drawing both sizes again (24 draws)
+        argv = ["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "20000", "--seed", "3"]
+        default, small = tmp_path / "default.csv", tmp_path / "small.csv"
+        assert main([*argv, "--out", str(default)]) == 0
+        draws = []
+        draw = sim._draw
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        monkeypatch.setattr(sim, "_initial_draws",
+                            lambda horizon, share: max(1, int(horizon * share * 1.01)))
+        monkeypatch.setattr(sim, "_draw", lambda *args: draws.append(args) or draw(*args))
+        assert main([*argv, "--out", str(small)]) == 0
+        assert len(draws) == 20
+        assert small.read_bytes() == default.read_bytes()
 
     def test_empty_rho_list_gives_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -441,6 +459,18 @@ class TestBadInput:
             main([*argv, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sojourn-sweep", "residual-cdf", "cycle-time",
+                                         "validate"])
+    def test_negative_seed_names_flag(self, tmp_path, capsys, command):
+        # numpy refuses negative seeds; the sweep used to write that refusal
+        # in every row and exit 0
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("horizon, warmup", [("100", "100"), ("100", "150")],
                              ids=["equal", "above"])

@@ -9,6 +9,7 @@ only the names in `__all__`, so each layer lists every public function and
 class it defines there, and nothing else.
 """
 
+import ast
 import inspect
 
 import pytest
@@ -38,3 +39,19 @@ def test_all_lists_exactly_the_public_functions_and_classes(module):
         and obj.__module__ == module.__name__
     }
     assert sorted(module.__all__) == sorted(public)
+
+
+def test_cli_reads_no_private_name_of_sim():
+    # the CLI drives runs through sim's public API alone; sim keeps its own
+    # state (the held draws) to itself
+    tree = ast.parse(inspect.getsource(cli))
+    private = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "sim" and node.attr.startswith("_")
+    ] + [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("sim", "tddq.sim")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

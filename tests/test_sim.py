@@ -461,6 +461,7 @@ class TestCompiledKernel:
         monkeypatch.setattr(sim, "_initial_draws", lambda horizon, share: 1)
         monkeypatch.setattr(sim, "_DRAW_BLOCK", 7)
         for name, scheduler in (("c", compiled_kernel()), ("py", sim._schedule_py)):
+            monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held that would fit
             calls = []
 
             def counting(*args, scheduler=scheduler):
@@ -542,8 +543,8 @@ def run_sequences(draw):
     return jobs, steps
 
 
-def unit_services(rng, n):
-    return np.ones(n)
+def uniform_services(rng, n):
+    return rng.random(n)
 
 
 def small_initial_draws(factor):
@@ -553,13 +554,14 @@ def small_initial_draws(factor):
 
 
 class TestSharedDraws:
-    """A finished run hands its draws to the next run(), which takes them,
-    with the arrivals rescaled in place, when it would draw the same arrays.
-    Every run must equal a run with nothing held, bit for bit."""
+    """A run that drew leaves its draws to the next run(), which schedules
+    them when its seed, config and service mode made them and they are at
+    least its own sizes. Every run must equal a run with nothing held, bit
+    for bit."""
 
     @staticmethod
     def fresh(tmp, name, **kwargs):
-        with mock.patch.object(sim, "_held", []):
+        with mock.patch.object(sim, "_draw_slot", []):
             return traced_run(tmp / f"{name}.csv", **kwargs)
 
     @settings(max_examples=100, deadline=None)
@@ -575,37 +577,38 @@ class TestSharedDraws:
                                         topology=topo, **jobs[job])
                 for job, topo in set(steps)
             }
-            with mock.patch.object(sim, "_held", []):
+            with mock.patch.object(sim, "_draw_slot", []):
                 for i, (job, topo) in enumerate(steps):
                     got = traced_run(tmp / f"step-{i}.csv", topology=topo, **jobs[job])
                     assert got == expected[(job, topo)]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(2.0**-256, 2.0**255), st.integers(0, 2**32 - 1), st.integers(1, 3000),
-           st.sampled_from([(1, 2), (2, 1), (2, 2)]))
-    def test_rescaled_draws_are_the_fresh_draws(self, rate, seed, n, servers):
-        # draws at rate * n_servers for a run with n_servers, held by a run
-        # with the other server count
-        held_servers, n_servers = servers
+    @given(st.floats(2.0**-1074, 2.0), st.integers(0, 2**32 - 1), st.integers(1, 3000))
+    def test_halved_draws_are_the_draws_at_twice_the_rate(self, rate, seed, n):
+        # a decoupled run reads the per-server arrivals times 0.5: they must
+        # be the arrivals drawn at twice the rate wherever the loop can take
+        # one in, below 2**53 slots (elsewhere both are at or above it)
         seqs = np.random.SeedSequence(seed).spawn(2)
-        idle = sim._draw(seqs, 0.0, unit_services, n)
-        key = (seed, MM1_CONFIG, True, False)
-        held = sim._HeldDraws(key, held_servers,
-                              (sim._draw(seqs, rate * held_servers, unit_services, n), idle))
-        fresh = sim._draw(seqs, rate * n_servers, unit_services, n)
-        got = sim._reuse(held, key, n_servers, (rate * n_servers, 0.0), (n, n))
-        assert got is not None
-        assert np.array_equal(got[0].arrivals, fresh.arrivals)
-        assert np.array_equal(got[0].services, fresh.services)
+        per_server = sim._draw(seqs, rate, uniform_services, n)
+        doubled = sim._draw(seqs, 2.0 * rate, uniform_services, n)
+        halved = per_server.arrivals * 0.5
+        low = (halved < sim._EXACT_SLOTS) | (doubled.arrivals < sim._EXACT_SLOTS)
+        assert np.array_equal(halved[low], doubled.arrivals[low])
+        assert np.array_equal(per_server.services, doubled.services)
 
-    @pytest.mark.parametrize("rate", [1e-310, 2.0**-257, 2.0**257, math.inf])
-    def test_rates_outside_the_exact_range_draw_afresh(self, rate):
-        seqs = np.random.SeedSequence(1).spawn(2)
-        with np.errstate(over="ignore", divide="ignore"):
-            draws = sim._draw(seqs, rate, unit_services, 10)
-        key = (1, MM1_CONFIG, True, False)
-        held = sim._HeldDraws(key, 1, (draws, sim._draw(seqs, 0.0, unit_services, 10)))
-        assert sim._reuse(held, key, 1, (rate, 0.0), (10, 10)) is None
+    def test_draws_refuse_writes_and_outputs_copy_them(self, tmp_path, monkeypatch):
+        # the next run schedules these very arrays: nothing may write them,
+        # and nothing a run returns may view them
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        summary = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=23,
+                      keep_packets=True, trace_path=str(tmp_path / "t.csv"))
+        [(_, draws)] = sim._draw_slot
+        arrays = [array for d in draws for array in (d.arrivals, d.services)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert not any(np.shares_memory(column, array)
+                       for column in summary.packets._columns() for array in arrays)
 
     @settings(max_examples=30, deadline=None)
     @given(small_runs())
@@ -623,7 +626,7 @@ class TestSharedDraws:
             for i, topo in enumerate(orders[k]):
                 results[k].append(traced_run(tmp / f"t{k}-{i}.csv", topology=topo, **kwargs))
 
-        with mock.patch.object(sim, "_held", []):
+        with mock.patch.object(sim, "_draw_slot", []):
             threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
             for t in threads:
                 t.start()
@@ -640,7 +643,7 @@ class TestSharedDraws:
         monkeypatch.setattr(sim, "_initial_draws",
                             lambda horizon, share: 10_000 if share < 0.5 else 2431)
         expected = self.fresh(tmp_path, "fresh", topology=Topology.DECOUPLED, **kwargs)
-        monkeypatch.setattr(sim, "_held", [])
+        monkeypatch.setattr(sim, "_draw_slot", [])
         run(topology=Topology.COUPLED, **kwargs)
         sizes, passes = [], []
         draw, schedule = sim._draw, sim._scheduler()
@@ -658,27 +661,3 @@ class TestSharedDraws:
                      topology=Topology.DECOUPLED, **kwargs)
         assert got == expected
         assert len(passes) == 2 and sizes == [20_000, 4862]  # only the second pass drew
-
-    def test_handed_over_draws_leave_earlier_outputs_alone(self, tmp_path, monkeypatch):
-        # each run rescales the previous run's draws in place; what the
-        # previous run returned and wrote must not view them
-        kwargs = dict(config=fig3_config(0.7), horizon=5_000, seed=23,
-                      keep_packets=True)
-        monkeypatch.setattr(sim, "_held", [])
-        draw_calls = []
-        draw = sim._draw
-        monkeypatch.setattr(sim, "_draw", lambda *args: draw_calls.append(1) or draw(*args))
-        earlier = []
-        for i, topo in enumerate([Topology.COUPLED, Topology.DECOUPLED, Topology.COUPLED]):
-            path = tmp_path / f"{i}.csv"
-            summary = run(topology=topo, trace_path=str(path), **kwargs)
-            held = sim._held[0].draws
-            for packets, columns, trace_path, trace in earlier:
-                assert all(np.array_equal(a, b) for a, b in zip(packets._columns(), columns))
-                assert trace_path.read_bytes() == trace
-            assert not any(np.shares_memory(column, array)
-                           for column in summary.packets._columns()
-                           for d in held for array in (d.arrivals, d.services))
-            earlier.append((summary.packets, [c.copy() for c in summary.packets._columns()],
-                            path, path.read_bytes()))
-        assert len(draw_calls) == 2  # the later runs took the first run's draws
