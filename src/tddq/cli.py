@@ -36,7 +36,6 @@ from .sim import Topology, run, sweep
 from .traffic import (
     ChannelModel,
     RateAdaptationTable,
-    SaturationError,
     Scenario,
     TrafficConfig,
     default_scenario,
@@ -204,7 +203,7 @@ def _check_stability(s: Scenario) -> tuple[bool, str]:
     for rho in s.rho_list:
         try:
             s.config_for(rho)
-        except (SaturationError, ValueError) as exc:
+        except ValueError as exc:
             return False, f"rho={rho}: {exc}"
     return True, f"{len(s.rho_list)} load points stable"
 
@@ -235,7 +234,7 @@ def _check_conservation(s: Scenario, args: argparse.Namespace) -> tuple[bool, st
     rho = 0.7 if not s.rho_list else min(s.rho_list, key=lambda r: abs(r - 0.7))
     try:
         config = s.config_for(rho)
-    except (SaturationError, ValueError) as exc:
+    except ValueError as exc:
         return False, f"rho={rho}: {exc}"
     summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed)
     little = summary.little_residual

@@ -10,7 +10,7 @@ TTI) once, on arrival. The decoupled topology doubles both arrival rates and
 lets two servers share the same two queues, keeping per-server utilization
 equal to the coupled baseline.
 
-A run has three steps. Each class draws its arrival times and service
+A run has four steps. Each class draws its arrival times and service
 durations as read-only arrays (`_draw`), the arrivals at the config's
 per-server rate whatever the topology; a run that needs more arrivals draws
 again, at twice the size, from the same seeds. The boundary loop schedules
@@ -22,9 +22,9 @@ built from what the loop wrote: packets as one `PacketColumns` record of
 read-only arrays, which yields `Packet` rows only when iterated, and the
 trace as CSV rows that end in CRLF.
 
-A run that drew leaves its draws in a one-place slot, keyed by what fixes
-them: the seed, config and service mode. Every run empties the slot as it
-starts and schedules the held draws if the key matches and they reach its
+Last, a run that drew leaves its draws in a one-place slot, keyed by what
+fixes them: the seed, config and service mode. Every run empties the slot as
+it starts and schedules the held draws if the key matches and they reach its
 own sizes, so a decoupled run after a coupled one with the same seed (as
 `sojourn-sweep` makes at each load point) draws nothing.
 """
@@ -49,7 +49,6 @@ import numpy as np
 
 from .traffic import (
     Scenario,
-    SaturationError,
     TrafficConfig,
     long_service_moments,
     sample_long_services,
@@ -682,6 +681,6 @@ def sweep(
             config = scenario.config_for(rho)
             summary = run(config, topology, horizon, warmup, seed=seed_base + i)
             points.append(SweepPoint(rho, summary, None))
-        except (SaturationError, ValueError) as exc:
+        except ValueError as exc:
             points.append(SweepPoint(rho, None, str(exc)))
     return points

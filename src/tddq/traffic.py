@@ -337,12 +337,13 @@ def _parse_floats(value: str, key: str) -> list[float]:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse the key=value scenario grammar; unknown keys are rejected.
+    """Parse the key=value scenario grammar; unknown or repeated keys are rejected.
 
     Load points are kept as written, in range or not: each command decides
     what an out-of-range point means for it.
     """
     values = dict(_DEFAULTS)
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -353,6 +354,9 @@ def parse_scenario(text: str) -> Scenario:
         key = key.strip()
         if key not in _DEFAULTS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = value.strip()
 
     mean_snr_db = _parse_floats(values["mean_snr_db"], "mean_snr_db")

@@ -392,6 +392,16 @@ class TestBadInput:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sojourn-sweep", "validate"])
+    def test_repeated_config_key(self, tmp_path, capsys, command):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("rho = 0.5\nlambda_ratio = 4\nrho = 0.3\n")
+        out = tmp_path / "x.out"
+        rc = main([command, "--config", str(cfg), "--horizon", "2000", "--out", str(out)])
+        assert rc == 2
+        assert "error: line 3: key 'rho' already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rho_out_of_range(self, capsys):
         rc = main(["sojourn-sweep", "--rho", "1.5", "--out", "-"])
         assert rc == 2

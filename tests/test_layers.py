@@ -14,6 +14,7 @@ import inspect
 
 import pytest
 
+import tddq
 from tddq import analytic, cli, sim, traffic
 
 
@@ -55,3 +56,15 @@ def test_cli_reads_no_private_name_of_sim():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_package_exports_exactly_the_layers_public_names():
+    layers = (traffic, analytic, sim)
+    assert len(tddq.__all__) == len(set(tddq.__all__))
+    assert set(tddq.__all__) == {"__version__"}.union(*(m.__all__ for m in layers))
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(tddq, name) is getattr(layer, name), name
+    star: dict[str, object] = {}
+    exec("from tddq import *", star)
+    assert star.keys() - {"__builtins__"} == set(tddq.__all__)

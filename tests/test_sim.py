@@ -10,6 +10,7 @@ that the fixed seeds meet with margin.
 
 import csv
 import math
+import re
 import shutil
 import subprocess
 import threading
@@ -453,6 +454,16 @@ class TestCompiledKernel:
         py_summary, py_trace = run_on(sim._schedule_py, tmp / "py.csv", **kwargs)
         assert c_summary == py_summary
         assert c_trace == py_trace
+
+    def test_shares_its_constants_with_python(self):
+        # the return codes and the 2**53 bound are written once on each side
+        source = sim._SOURCE.read_text(encoding="utf-8")
+        enum = re.search(r"enum \{([^}]*)\}", source).group(1)
+        codes = {name: int(value) for name, value in re.findall(r"(TDDQ_\w+) = (\d+)", enum)}
+        assert codes == {"TDDQ_DONE": sim._DONE, "TDDQ_NEED_MORE": sim._NEED_MORE,
+                         "TDDQ_BREACH": sim._BREACH, "TDDQ_STALLED": sim._STALLED}
+        exact = re.search(r"#define TDDQ_EXACT_SLOTS (\S+)", source).group(1)
+        assert float(exact) == sim._EXACT_SLOTS
 
     def test_growing_the_draws_leaves_results_unchanged(self, tmp_path, monkeypatch):
         kwargs = dict(config=fig3_config(0.9), topology=Topology.DECOUPLED,

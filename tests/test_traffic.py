@@ -450,6 +450,14 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="unknown key"):
             parse_scenario("bogus = 1\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("rho = 0.5\n# later\nrho = 0.3\n", "rho"),
+        ("mean_snr_db = 5\n\nmean_snr_db = 10\n", "mean_snr_db"),
+    ])
+    def test_repeated_key_rejected(self, text, key):
+        with pytest.raises(ValueError, match=f"line 3: key '{key}' already set on line 1"):
+            parse_scenario(text)
+
     def test_bad_number_rejected(self):
         with pytest.raises(ValueError):
             parse_scenario("mu_short = fast\n")
