@@ -1,26 +1,45 @@
-/* Boundary-to-boundary scheduler of the slotted two-class priority queue.
+/* Boundary-to-boundary scheduler of the slotted two-class priority queue,
+ * and the row writer of its event trace.
  *
- * The compiled twin of `tddq.sim._schedule_py`: the same operations in the
- * same order over the same pre-drawn arrays, so both give bit-identical
- * outputs. Build with -ffp-contract=off, so that no fused multiply-add
- * changes a rounding.
+ * tddq_schedule is the compiled twin of `tddq.sim._schedule_py`: the same
+ * operations in the same order over the same pre-drawn arrays, so both give
+ * bit-identical outputs. Build with -ffp-contract=off, so that no fused
+ * multiply-add changes a rounding.
  *
- * Inputs, all times in slot units. arr_x/dur_x hold one class's arrival
+ * Its inputs, all times in slot units: arr_x/dur_x hold one class's arrival
  * times and service durations, ending in a +inf sentinel; lim_x is the
  * number of real arrivals, or -1 for a class that never arrives. Reaching
  * lim_x means the draw ran short: the caller draws more and calls again.
  * The arrivals are drawn at the per-server rate, so arrival k of an
  * n-server run reads as arr_x[k] * (1.0 / n), which is exact for n = 1, 2.
  *
- * Outputs: busy[n_servers]; the windowed sojourns soj_s/soj_l, in start
+ * Its outputs: busy[n_servers]; the windowed sojourns soj_s/soj_l, in start
  * order; acc = {integral of N(t), window open, window close};
  * cnt = {shorts queued, longs queued, short sojourns, long sojourns}, where
  * a class's packets queued by the last boundary are exactly its arrivals up
  * to it; and, when rec_cls is not NULL, one record per start in start order
  * (class 0 short / 1 long, arrival, service duration, start, server).
+ *
+ * tddq_trace_rows is the compiled twin of `tddq.sim._write_trace`'s rows:
+ * the same bytes from the same events, a chunk of rows per call.
+ *
+ * Its inputs: the parallel event arrays time (slot units), rank (0 depart,
+ * 1 start, 2 arrival), cls (0 short, 1 long) and server (-1 for none);
+ * order[n_rows], the indices of this call's rows in row order; scale, which
+ * turns slots into real time.
+ *
+ * Its outputs: buf, which holds at least TDDQ_ROW_BYTES per row, gets one
+ * CSV row (time,event,class,server,queue_len_short,queue_len_long, then
+ * CRLF) per index, the time as time[k] * scale in printf's "%.9g" and the
+ * server empty when it is negative; the return value is the bytes written,
+ * or -1 for a rank above 2 or a class above 1. queue = {short, long}
+ * carries the queue counts from one call to the next: a row adds 1 to its
+ * class's count on arrival, takes 1 on start, and prints both counts after.
  */
 
 #include <math.h>
+#include <stdio.h>
+#include <string.h>
 
 enum { TDDQ_DONE = 0, TDDQ_NEED_MORE = 1, TDDQ_BREACH = 2, TDDQ_STALLED = 3 };
 
@@ -153,4 +172,143 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
     cnt[2] = k_s;
     cnt[3] = k_l;
     return TDDQ_DONE;
+}
+
+/* The longest row: a "%.9g" time ("-1.23456789e-308", 16), "arrival" (7),
+ * "short" (5), a server and two counts (20 each, "-9223372036854775808"),
+ * 5 commas and CRLF */
+#define TDDQ_ROW_BYTES 95
+
+__extension__ typedef unsigned __int128 tddq_u128;
+
+static const unsigned long long tddq_pow10[13] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+};
+
+/* x as printf's "%.9g" writes it; returns the length (at most 16).
+ *
+ * A value whose nine digits print in fixed notation (1e-4 <= x < 1e9, and
+ * not rounding up to 1e9) is formatted exactly here. With x = m / 2^s (m
+ * the 53-bit significand) and 10^X <= x < 10^(X+1), its digits are
+ * m * 10^(8-X) / 2^s rounded half to even: under 2^93, so one 128-bit
+ * product and shift. Everything else goes to snprintf. */
+static int tddq_format_g9(char *p, double x)
+{
+    if (x >= 1e-4 && x < 1e9) {
+        int e2, X, s, i, keep, end;
+        unsigned long long m, n;
+        tddq_u128 prod, digits, rem, half;
+        char d[9], *q = p;
+
+        /* a normal double: x = (2^52 + fraction) * 2^(biased exponent - 1075) */
+        memcpy(&m, &x, sizeof m);
+        s = 1075 - (int)(m >> 52); /* 23..66 in this range */
+        m = (m & 0xfffffffffffffULL) | (1ULL << 52);
+        /* 2^(e2-1) <= x < 2^e2, so X is floor((e2-1) log10 2) or one more
+         * (78913 / 2^18 is log10 2 closely enough for |e2| < 1650, and the
+         * offset of 100 keeps the shifted value positive); x >= 10^(X+1)
+         * exactly when m * 10^(8-(X+1)) >= 10^8 * 2^s */
+        e2 = 53 - s;
+        X = (((e2 - 1) * 78913 + (100 << 18)) >> 18) - 100;
+        if (X < 8 && (tddq_u128)m * tddq_pow10[7 - X] >= ((tddq_u128)tddq_pow10[8] << s))
+            X++;
+        if (X >= -4) {
+            prod = (tddq_u128)m * tddq_pow10[8 - X];
+            digits = prod >> s;
+            rem = prod - (digits << s);
+            half = (tddq_u128)1 << (s - 1);
+            if (rem > half || (rem == half && (digits & 1)))
+                digits++;
+            if (digits == tddq_pow10[9]) { /* 9.999999995e(X) carries to 1e(X+1) */
+                digits = tddq_pow10[8];
+                X++;
+            }
+            if (X <= 8) {
+                n = (unsigned long long)digits;
+                for (i = 8; i >= 0; i--) {
+                    d[i] = (char)('0' + n % 10);
+                    n /= 10;
+                }
+                /* drop trailing zeros of the fraction, and a bare point */
+                keep = X >= 0 ? X + 1 : 0;
+                for (end = 9; end > keep && d[end - 1] == '0'; end--)
+                    ;
+                if (X >= 0) {
+                    memcpy(q, d, (size_t)keep);
+                    q += keep;
+                    if (end > keep)
+                        *q++ = '.';
+                } else {
+                    *q++ = '0';
+                    *q++ = '.';
+                    for (i = -1; i > X; i--)
+                        *q++ = '0';
+                }
+                memcpy(q, d + keep, (size_t)(end - keep));
+                q += end - keep;
+                return (int)(q - p);
+            }
+        }
+    }
+    if (isnan(x)) { /* without a sign, as Python writes it */
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    return snprintf(p, 17, "%.9g", x);
+}
+
+static int tddq_format_ll(char *p, long long v)
+{
+    char tmp[20];
+    int n = 0, len = 0;
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    if (v < 0)
+        p[len++] = '-';
+    do {
+        tmp[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (n)
+        p[len++] = tmp[--n];
+    return len;
+}
+
+long long tddq_trace_rows(const double *time, const unsigned char *rank,
+                          const unsigned char *cls, const long long *server,
+                          const long long *order, long long n_rows, double scale,
+                          long long *queue, char *buf)
+{
+    /* ",event,class," per rank and class, and its length */
+    static const char *const labels[3][2] = {
+        {",depart,short,", ",depart,long,"},
+        {",start,short,", ",start,long,"},
+        {",arrival,short,", ",arrival,long,"},
+    };
+    static const size_t label_len[3][2] = {{14, 13}, {13, 12}, {15, 14}};
+    char *p = buf;
+    long long i;
+
+    for (i = 0; i < n_rows; i++) {
+        long long k = order[i];
+        unsigned r = rank[k], c = cls[k];
+        if (r > 2 || c > 1)
+            return -1;
+        if (r == 2)
+            queue[c]++;
+        else if (r == 1)
+            queue[c]--;
+        p += tddq_format_g9(p, time[k] * scale);
+        memcpy(p, labels[r][c], label_len[r][c]);
+        p += label_len[r][c];
+        if (server[k] >= 0)
+            p += tddq_format_ll(p, server[k]);
+        *p++ = ',';
+        p += tddq_format_ll(p, queue[0]);
+        *p++ = ',';
+        p += tddq_format_ll(p, queue[1]);
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    return (long long)(p - buf);
 }

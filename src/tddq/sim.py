@@ -20,7 +20,9 @@ bit-identical Python reference `_schedule_py`; each start's record carries
 its own arrival and duration. Statistics, packets and the trace are then
 built from what the loop wrote: packets as one `PacketColumns` record of
 read-only arrays, which yields `Packet` rows only when iterated, and the
-trace as CSV rows that end in CRLF.
+trace as CSV rows that end in CRLF. The same build's row writer formats the
+trace (times exactly as `%.9g`) into a byte buffer a chunk at a time; its
+byte-identical Python reference `_write_trace` runs when no compiler works.
 
 Last, a run that drew leaves its draws in a one-place slot, keyed by what
 fixes them: the seed, config and service mode. Every run empties the slot as
@@ -40,10 +42,11 @@ import os
 import subprocess
 import tempfile
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,9 +224,10 @@ def run(
     results are the same either way. A run that drew leaves its draws held
     for the next run() in the process, which frees them as it starts: a lone
     run keeps 16 bytes per drawn arrival until then. The schedule runs in a
-    compiled loop, built on the first call in a process, or in the
-    bit-identical Python reference loop (with a RuntimeWarning) when no C
-    compiler works.
+    compiled loop, and the trace comes from a compiled row writer, both
+    built on the first call in a process; when no C compiler works, the
+    bit-identical Python reference loop and writer run instead (with one
+    RuntimeWarning).
 
     `slot_aligned=False` lets service start the moment a server and packet are
     both available; `exponential_service=True` additionally replaces the
@@ -305,8 +309,8 @@ def run(
              - int(np.searchsorted(long_.arrivals, opening, "right")))
     packets = _packet_columns(out.records, slot) if keep_packets else None
     if trace_path:
-        _write_trace(trace_path, _trace_events(out, short.arrivals[:n_short],
-                                               long_.arrivals[:n_long], n_servers), slot)
+        _trace_writer()(trace_path, _trace_events(out, short.arrivals[:n_short],
+                                                  long_.arrivals[:n_long], n_servers), slot)
 
     span = t_end - t_w
     if span > 0:
@@ -459,11 +463,18 @@ _SOURCE = Path(__file__).with_name("_schedule.c")
 _CC = "cc"
 
 
+class _Kernel(NamedTuple):
+    """`_schedule.c` loaded: its two functions with their Python twins'
+    signatures."""
+
+    schedule: Callable[..., int]  # as _schedule_py
+    write_trace: Callable[[str, tuple, float], None]  # as _write_trace
+
+
 @functools.cache
-def _kernel():
+def _kernel() -> _Kernel | None:
     """`_schedule.c` compiled once per process into a private temporary
-    directory, as a callable with `_schedule_py`'s signature; None, with one
-    RuntimeWarning, when no C compiler works."""
+    directory; None, with one RuntimeWarning, when no C compiler works."""
     try:
         with tempfile.TemporaryDirectory(prefix="tddq-") as tmp:
             lib_path = os.path.join(tmp, "_schedule.so")
@@ -475,31 +486,61 @@ def _kernel():
             lib = ctypes.CDLL(lib_path)  # stays mapped after the file is removed
     except (OSError, subprocess.SubprocessError) as exc:
         warnings.warn(
-            f"cannot build the C scheduler ({exc}); using the slower Python reference loop",
+            f"cannot build the C kernel ({exc}); using the slower Python reference "
+            "loop and trace writer",
             RuntimeWarning, stacklevel=4,
         )
         return None
-    fn = lib.tddq_schedule
     i64, ptr = ctypes.c_longlong, ctypes.c_void_p
-    fn.argtypes = [i64, ctypes.c_int, i64, i64, ptr, ptr, i64, ptr, ptr, i64,
-                   ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
+    schedule_fn = lib.tddq_schedule
+    schedule_fn.argtypes = [i64, ctypes.c_int, i64, i64, ptr, ptr, i64, ptr, ptr, i64,
+                            ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    schedule_fn.restype = ctypes.c_int
+    rows_fn = lib.tddq_trace_rows
+    rows_fn.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ctypes.c_double, ptr, ptr]
+    rows_fn.restype = i64
 
     def schedule(n_servers: int, aligned: bool, horizon: int, warmup: int,
                  short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
         # an array's `.ctypes` passes its data pointer; None passes NULL
         records = [r.ctypes for r in out.records] if out.records else [None] * 5
-        return fn(n_servers, aligned, horizon, warmup,
-                  short.arrivals.ctypes, short.services.ctypes, short.limit,
-                  long_.arrivals.ctypes, long_.services.ctypes, long_.limit,
-                  out.busy.ctypes, out.soj_s.ctypes, out.soj_l.ctypes,
-                  out.acc.ctypes, out.cnt.ctypes, *records)
-    return schedule
+        return schedule_fn(n_servers, aligned, horizon, warmup,
+                           short.arrivals.ctypes, short.services.ctypes, short.limit,
+                           long_.arrivals.ctypes, long_.services.ctypes, long_.limit,
+                           out.busy.ctypes, out.soj_s.ctypes, out.soj_l.ctypes,
+                           out.acc.ctypes, out.cnt.ctypes, *records)
+
+    def write_trace(path: str, events: tuple, scale: float) -> None:
+        time, rank, cls, server = (np.ascontiguousarray(a, dtype) for a, dtype in
+                                   zip(events, (np.float64, np.uint8, np.uint8, np.int64)))
+        if not len(time) == len(rank) == len(cls) == len(server):
+            raise ValueError("trace event arrays differ in length")
+        order = np.lexsort((rank, time)).astype(np.int64, copy=False)
+        queue = np.zeros(2, np.int64)  # short and long counts, carried across chunks
+        buf = np.empty(_CHUNK * _ROW_BYTES, np.uint8)
+        with open(path, "wb") as fh:
+            fh.write(_TRACE_HEADER.encode())
+            for lo in range(0, len(order), _CHUNK):
+                part = order[lo:lo + _CHUNK]
+                size = rows_fn(time.ctypes, rank.ctypes, cls.ctypes, server.ctypes,
+                               part.ctypes, len(part), scale, queue.ctypes, buf.ctypes)
+                if size < 0:
+                    raise ValueError("trace event rank above 2 or class above 1")
+                fh.write(buf[:size])
+
+    return _Kernel(schedule, write_trace)
 
 
 def _scheduler():
     """The compiled loop when it builds, else the Python reference."""
-    return _kernel() or _schedule_py
+    kernel = _kernel()
+    return kernel.schedule if kernel else _schedule_py
+
+
+def _trace_writer():
+    """The compiled trace writer when it builds, else the Python reference."""
+    kernel = _kernel()
+    return kernel.write_trace if kernel else _write_trace
 
 
 def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
@@ -595,6 +636,7 @@ _DEPART, _START, _ARRIVAL = 0, 1, 2  # trace ranks: the order of simultaneous ev
 _EVENT_NAMES = ("depart", "start", "arrival")
 _TRACE_HEADER = "time,event,class,server,queue_len_short,queue_len_long\r\n"
 _TRACE_ROW = "%.9g,%s,%d,%d\r\n"
+_ROW_BYTES = 95  # the longest row `_schedule.c` writes, as TDDQ_ROW_BYTES there
 
 
 def _packet_columns(records: tuple, scale: float) -> PacketColumns:
@@ -630,6 +672,11 @@ def _write_trace(path: str, events: tuple, scale: float) -> None:
     1 long, server or -1); rows come out by time, then rank, and otherwise in
     the order given. Times keep 9 significant digits (`%.9g`) and rows end
     in CRLF, as `csv.writer` wrote them.
+
+    The reference for `_schedule.c`'s row writer, which gives the same bytes,
+    and the writer run() uses when no compiler works: it sorts copies of the
+    events, counts the queues with cumulative sums and formats each chunk
+    from one row template.
     """
     time, rank, cls, server = events
     order = np.lexsort((rank, time))

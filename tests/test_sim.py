@@ -9,12 +9,14 @@ that the fixed seeds meet with margin.
 """
 
 import csv
+import hashlib
 import math
 import re
 import shutil
 import subprocess
 import threading
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -315,6 +317,18 @@ class TestSweep:
         assert pts[2].error is None and pts[2].summary is not None
 
 
+def compiled_kernel():
+    kernel = sim._kernel()
+    if kernel is None:
+        pytest.skip("no working C compiler")
+    return kernel
+
+
+def trace_writer(name):
+    """The compiled ("c") or Python ("py") trace writer."""
+    return compiled_kernel().write_trace if name == "c" else sim._write_trace
+
+
 def reference_write_trace(path, events, scale):
     """The trace writer as it was built on `csv.writer`, kept to pin its bytes."""
     time, rank, cls, server = events
@@ -336,16 +350,90 @@ def reference_write_trace(path, events, scale):
         )
 
 
+def tie_range(k):
+    """Odd numerators a, as [lo, hi), whose a / 2**(k + 1) lies in
+    [10**(8 - k), 10**(9 - k)): each such value ends in 5 at exactly its 10th
+    significant digit, a tie for 9 digits."""
+    lo, hi = (math.ceil(Fraction(10) ** (e - k) * 2 ** (k + 1)) for e in (8, 9))
+    return lo, hi
+
+
+@st.composite
+def tenth_digit_ties(draw):
+    """Exact binary ties at the 10th significant digit, such as 1234567.125,
+    from 1e-4 up to 1e9, and the integer ties 10j + 5 above 1e9."""
+    k = draw(st.integers(-1, 13))
+    if k < 0:
+        return float(10 * draw(st.integers(10**8, 10**9 - 1)) + 5)
+    lo, hi = tie_range(k)
+    # odd numerators 2j + 1 in [lo, hi)
+    j = draw(st.integers(lo // 2, (hi - 2) // 2))
+    return (2 * j + 1) / 2 ** (k + 1)
+
+
+def g9_edges():
+    """Times where "%.9g" switches or carries: powers of ten from 1e-6 to
+    1e12 with 3 neighbours each way, the 1e-4 and 1e9 notation switches and
+    the 999999999.5 carry with theirs, zero and a subnormal."""
+    edges = [0.0, 5e-324]
+    for x in [10.0**e for e in range(-6, 13)] + [9.9999999995e-5, 999999999.5,
+                                                  999999999.4999999, 9999999995.0]:
+        below = above = x
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            edges += [below, above]
+        edges.append(x)
+    return edges
+
+
 @st.composite
 def trace_events(draw):
-    """Event arrays for 1 or 2 servers, with times tied and in exponent form."""
+    """Event arrays for 1 or 2 servers: times tied, in exponent form, at
+    rounding ties and at the "%.9g" edges; rank mixes whose starts outrun
+    their arrivals drive the queue counts negative."""
     n_servers = draw(st.sampled_from([1, 2]))
-    time = st.one_of(st.sampled_from([1e-6, 1.0, 2.0, 3.5]), st.floats(1e-6, 1e16))
-    rows = draw(st.lists(st.tuples(time, st.integers(0, 2), st.integers(0, 1),
+    time = st.one_of(st.sampled_from([1e-6, 1.0, 2.0, 3.5]), st.floats(1e-6, 1e16),
+                     st.sampled_from(g9_edges()), tenth_digit_ties())
+    ranks = st.sampled_from(draw(st.sampled_from([(0, 1, 2), (1,), (0, 1)])))
+    rows = draw(st.lists(st.tuples(time, ranks, st.integers(0, 1),
                                    st.integers(-1, n_servers - 1)), max_size=40))
     time, rank, cls, server = zip(*rows) if rows else ((),) * 4
     return (np.array(time, dtype=float), np.array(rank, np.uint8),
             np.array(cls, np.uint8), np.array(server, np.int64))
+
+
+def g9_probes():
+    """At least 10**5 seeded doubles from 1e-6 to 1e12 for "%.9g": log-uniform
+    values, exact 10th-digit ties at every decimal exponent, doubles nearest
+    the decimal half points (ties missed by less than an ulp), short dyadic
+    fractions, and the edges."""
+    rng = np.random.default_rng(20190427)
+    parts = [10.0 ** rng.uniform(-6, 12, 40_000)]
+    for k in range(14):
+        lo, hi = tie_range(k)
+        parts.append((2 * rng.integers(lo // 2, hi // 2, 2_000) + 1) / 2.0 ** (k + 1))
+    for tie in (5, 50, 500):  # exponent-notation ties from 1e9 up to 1e12
+        parts.append((2.0 * tie) * rng.integers(10**8, 10**9, 2_000) + tie)
+    nines = rng.integers(10**8, 10**9, 10_000).tolist()
+    exps = rng.integers(-14, 4, 10_000).tolist()
+    halves = np.array([float(Fraction(2 * n + 1, 2) * Fraction(10) ** e)
+                       for n, e in zip(nines, exps)])
+    parts += [halves, np.nextafter(halves, 0.0), np.nextafter(halves, np.inf)]
+    parts.append(rng.integers(1, 2**30, 10_000) / 2.0 ** rng.integers(0, 40, 10_000))
+    parts.append(np.array(g9_edges()))
+    return np.concatenate(parts)
+
+
+# sha256 of trace files as the Python writer wrote them before the compiled
+# writer existed; every writer must keep them
+PINNED_TRACES = {
+    "fig3-rho0.7": (dict(config=fig3_config(0.7)),
+                    "302a459bd796dd9f8b58779f011d136a8c6ecddb957c49471daa6cffaf3edf68"),
+    # slot 0.5 and starts off the slot grid: times that are not whole slots
+    "half-slot-unaligned": (dict(config=replace(default_scenario(), mu_short=2.0).config_for(0.7),
+                                 slot_aligned=False),
+                            "240053f713f12d82b500e7e074bd00550a3f7cfd558edc26ac73aa44618f062f"),
+}
 
 
 class TestTrace:
@@ -389,9 +477,46 @@ class TestTrace:
     @given(trace_events(), st.sampled_from([1.0, 0.5, 0.25]))
     def test_writer_matches_csv_module_reference(self, tmp_path_factory, events, scale):
         tmp = tmp_path_factory.mktemp("trace")
-        sim._write_trace(str(tmp / "new.csv"), events, scale)
         reference_write_trace(str(tmp / "ref.csv"), events, scale)
-        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+        for writer in ("py", "c"):  # the Python writer is checked even without a compiler
+            trace_writer(writer)(str(tmp / f"{writer}.csv"), events, scale)
+            assert (tmp / f"{writer}.csv").read_bytes() == (tmp / "ref.csv").read_bytes(), writer
+
+    @pytest.mark.parametrize("writer", ["c", "py"])
+    @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+    def test_trace_matches_recorded_digest(self, tmp_path, monkeypatch, writer, name):
+        kwargs, digest = PINNED_TRACES[name]
+        monkeypatch.setattr(sim, "_trace_writer", lambda: trace_writer(writer))
+        path = tmp_path / "trace.csv"
+        run(topology=Topology.DECOUPLED, horizon=20_000, seed=3, trace_path=str(path), **kwargs)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_compiled_time_format_is_percent_g(self, tmp_path):
+        # the writer keeps equal times in the order given, so sorted times
+        # come out row by row
+        times = np.sort(g9_probes())
+        n = len(times)
+        assert n >= 10**5
+        path = tmp_path / "times.csv"
+        events = (times, np.full(n, sim._ARRIVAL, np.uint8), np.zeros(n, np.uint8),
+                  np.full(n, -1, np.int64))
+        trace_writer("c")(str(path), events, 1.0)
+        got = [row.partition(",")[0] for row in path.read_bytes().decode().split("\r\n")[1:-1]]
+        want = ["%.9g" % x for x in times.tolist()]
+        assert len(got) == n
+        assert [(x, g, w) for x, g, w in zip(times.tolist(), got, want) if g != w][:10] == []
+
+    @pytest.mark.parametrize("bad", ["rank", "class", "length"])
+    def test_compiled_writer_rejects_bad_events(self, tmp_path, bad):
+        # the row writer indexes its event and class names by rank and class
+        events = [np.array([1.0, 2.0]), np.array([2, 1], np.uint8), np.array([0, 0], np.uint8),
+                  np.array([-1, 0], np.int64)]
+        if bad == "length":
+            events[3] = events[3][:1]
+        else:
+            events[1 if bad == "rank" else 2][1] = 3
+        with pytest.raises(ValueError, match="above|length"):
+            trace_writer("c")(str(tmp_path / "trace.csv"), tuple(events), 1.0)
 
     def test_packet_type_validation(self):
         with pytest.raises(ValueError):
@@ -426,22 +551,17 @@ def small_runs(draw):
     )
 
 
-def compiled_kernel():
-    kernel = sim._kernel()
-    if kernel is None:
-        pytest.skip("no working C compiler")
-    return kernel
-
-
 def traced_run(trace_path, **kwargs):
     """run() with packets kept and a trace written: (summary, trace bytes)."""
     summary = run(keep_packets=True, trace_path=str(trace_path), **kwargs)
     return summary, trace_path.read_bytes()
 
 
-def run_on(scheduler, trace_path, **kwargs):
-    """`traced_run` with the given scheduling loop."""
-    with mock.patch.object(sim, "_scheduler", lambda: scheduler):
+def run_on(scheduler, trace_path, writer=None, **kwargs):
+    """`traced_run` with the given scheduling loop, and trace writer if given."""
+    writer = writer or sim._trace_writer()
+    with mock.patch.object(sim, "_scheduler", lambda: scheduler), \
+            mock.patch.object(sim, "_trace_writer", lambda: writer):
         return traced_run(trace_path, **kwargs)
 
 
@@ -449,14 +569,17 @@ class TestCompiledKernel:
     @settings(max_examples=200, deadline=None)
     @given(small_runs())
     def test_matches_python_reference(self, tmp_path_factory, kwargs):
+        # the compiled loop, with either writer, against the Python loop and writer
         tmp = tmp_path_factory.mktemp("kernel")
-        c_summary, c_trace = run_on(compiled_kernel(), tmp / "c.csv", **kwargs)
-        py_summary, py_trace = run_on(sim._schedule_py, tmp / "py.csv", **kwargs)
-        assert c_summary == py_summary
-        assert c_trace == py_trace
+        expected = run_on(sim._schedule_py, tmp / "py.csv", sim._write_trace, **kwargs)
+        for writer in ("c", "py"):
+            got = run_on(compiled_kernel().schedule, tmp / f"c-{writer}.csv",
+                         trace_writer(writer), **kwargs)
+            assert got == expected, writer
 
     def test_shares_its_constants_with_python(self):
-        # the return codes and the 2**53 bound are written once on each side
+        # the return codes, the 2**53 bound and the row bound are written
+        # once on each side
         source = sim._SOURCE.read_text(encoding="utf-8")
         enum = re.search(r"enum \{([^}]*)\}", source).group(1)
         codes = {name: int(value) for name, value in re.findall(r"(TDDQ_\w+) = (\d+)", enum)}
@@ -464,14 +587,16 @@ class TestCompiledKernel:
                          "TDDQ_BREACH": sim._BREACH, "TDDQ_STALLED": sim._STALLED}
         exact = re.search(r"#define TDDQ_EXACT_SLOTS (\S+)", source).group(1)
         assert float(exact) == sim._EXACT_SLOTS
+        row_bytes = re.search(r"#define TDDQ_ROW_BYTES (\d+)", source).group(1)
+        assert int(row_bytes) == sim._ROW_BYTES
 
     def test_growing_the_draws_leaves_results_unchanged(self, tmp_path, monkeypatch):
         kwargs = dict(config=fig3_config(0.9), topology=Topology.DECOUPLED,
                       horizon=3_000, warmup=300, seed=31)
-        expected = run_on(compiled_kernel(), tmp_path / "ref.csv", **kwargs)
+        expected = run_on(compiled_kernel().schedule, tmp_path / "ref.csv", **kwargs)
         monkeypatch.setattr(sim, "_initial_draws", lambda horizon, share: 1)
         monkeypatch.setattr(sim, "_DRAW_BLOCK", 7)
-        for name, scheduler in (("c", compiled_kernel()), ("py", sim._schedule_py)):
+        for name, scheduler in (("c", compiled_kernel().schedule), ("py", sim._schedule_py)):
             monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held that would fit
             calls = []
 
@@ -488,16 +613,18 @@ class TestCompiledKernel:
         yield
         sim._kernel.cache_clear()
 
-    def test_no_compiler_falls_back_to_reference(self, monkeypatch, fresh_kernel):
-        args = (fig3_config(0.7), Topology.DECOUPLED, 5_000)
-        expected = run(*args, seed=8, keep_packets=True)
+    def test_no_compiler_falls_back_to_reference(self, tmp_path, monkeypatch, fresh_kernel):
+        # both Python twins: the same summary, packets and trace bytes
+        kwargs = dict(config=fig3_config(0.7), topology=Topology.DECOUPLED, horizon=5_000, seed=8)
+        expected = traced_run(tmp_path / "c.csv", **kwargs)
         assert sim._kernel() is not None
         sim._kernel.cache_clear()
         monkeypatch.setattr(sim, "_CC", "tddq-no-such-compiler")
         with pytest.warns(RuntimeWarning, match="Python reference") as caught:
-            first = run(*args, seed=8, keep_packets=True)
-            second = run(*args, seed=8, keep_packets=True)
+            first = traced_run(tmp_path / "first.csv", **kwargs)
+            second = traced_run(tmp_path / "second.csv", **kwargs)
         assert len(caught) == 1
+        assert sim._scheduler() is sim._schedule_py and sim._trace_writer() is sim._write_trace
         assert first == expected and second == expected
 
     def test_source_compiles_without_warnings(self, tmp_path):
@@ -517,7 +644,7 @@ class TestCompiledKernel:
     def test_vanishing_traffic_rejected(self, monkeypatch, loop, topology, lam):
         # at 1e-307 arrival times overflow to +inf, at 1e-17 they pass 2**53
         # slots, where a one-slot service no longer advances the clock
-        scheduler = compiled_kernel() if loop == "c" else sim._schedule_py
+        scheduler = compiled_kernel().schedule if loop == "c" else sim._schedule_py
         monkeypatch.setattr(sim, "_scheduler", lambda: scheduler)
         config = TrafficConfig(lam, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
         with pytest.raises(ValueError, match="vanishing traffic"):
