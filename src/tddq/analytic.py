@@ -216,7 +216,8 @@ class ResidualModel:
         if self.family == "exponential":
             out = 1.0 - np.exp(-self.rate * np.maximum(y, 0.0))
         elif self.family == "truncated-exponential":
-            norm = 1.0 - math.exp(-self.rate * self.s_long_max)
+            # the same exp as the numerator, so that F(s_long_max) is exactly 1
+            norm = 1.0 - np.exp(-self.rate * self.s_long_max)
             out = (1.0 - np.exp(-self.rate * np.clip(y, 0.0, self.s_long_max))) / norm
         elif self.family == "uniform":
             out = np.clip(y / self.s_long_max, 0.0, 1.0)

@@ -268,6 +268,18 @@ class TestResidualModel:
         got = residual_cdf(model, y, decoupled=True)
         assert got == pytest.approx(1.0 - np.exp(-2.0 * y), rel=1e-12)
 
+    def test_truncated_exponential_cdf_reaches_exactly_one(self):
+        # numerator and norm share one exp: with math.exp in the norm, this
+        # rate (and 12 of these 20 000) put F(s_long_max) one ulp above 1
+        rates = [0.3188618562528366] + np.random.default_rng(7).uniform(0.1, 3.0, 20_000).tolist()
+        y = np.linspace(0.0, 12.0, 121)
+        for rate in rates:
+            model = ResidualModel("truncated-exponential", 10.0, rate=rate)
+            assert model.cdf(10.0) == 1.0, rate
+            f = model.cdf(y)
+            assert f.max() <= 1.0 and np.all(np.diff(f) >= 0.0), rate
+        assert residual_cdf(model, 10.0, decoupled=True) == 1.0
+
     def test_half_mass_goes_to_three_quarters(self):
         model = ResidualModel("empirical", 1.0, samples=(0.0, 1.0))
         assert residual_cdf(model, 0.5, decoupled=False) == pytest.approx(0.5)
