@@ -20,21 +20,35 @@
  * to it; and, when rec_cls is not NULL, one record per start in start order
  * (class 0 short / 1 long, arrival, service duration, start, server).
  *
- * tddq_trace_rows is the compiled twin of `tddq.sim._write_trace`'s rows:
- * the same bytes from the same events, a chunk of rows per call.
+ * tddq_trace_merge is the compiled twin of `tddq.sim._write_trace`'s rows:
+ * the same bytes from the run's own arrays, a chunk of rows per call, with
+ * no event array and no sort. Each of its streams is already in time order,
+ * so it merges them.
  *
- * Its inputs: the parallel event arrays time (slot units), rank (0 depart,
- * 1 start, 2 arrival), cls (0 short, 1 long) and server (-1 for none);
- * order[n_rows], the indices of this call's rows in row order; scale, which
- * turns slots into real time.
+ * Its inputs, all times in slot units: arr_s[n_s] and arr_l[n_l], each
+ * class's arrivals as drawn (per server, read as arr_x[k] * (1.0 / n) as
+ * the scheduler reads them); and one record per start, in start order:
+ * rec_cls (0 short, 1 long), rec_dur, rec_start and rec_srv, n_rec each.
+ * Its 3 + n_servers streams are the short arrivals, the long arrivals,
+ * the starts, and each server's departures rec_start + rec_dur in
+ * record order. Rows come out by time, then rank (depart, start, arrival),
+ * then the order short arrivals, long arrivals, starts, departures, each in
+ * its own order: what a stable sort by (time, rank) of those events gives.
+ * max_rows caps the rows of one call; scale turns slots into real time.
+ *
+ * Its state, 7 + n_servers int64 zeros before the first call, carries the
+ * merge from one call to the next: the next short arrival, long arrival and
+ * start; the short and long queue counts; the rows written and the bits of
+ * the last row's time; then the next record of each server's departures.
  *
  * Its outputs: buf, which holds at least TDDQ_ROW_BYTES per row, gets one
  * CSV row (time,event,class,server,queue_len_short,queue_len_long, then
- * CRLF) per index, the time as time[k] * scale in printf's "%.9g" and the
- * server empty when it is negative; the return value is the bytes written,
- * or -1 for a rank above 2 or a class above 1. queue = {short, long}
- * carries the queue counts from one call to the next: a row adds 1 to its
- * class's count on arrival, takes 1 on start, and prints both counts after.
+ * CRLF) per event, the time in printf's "%.9g" after scaling and the server
+ * empty on arrivals. A row adds 1 to its class's queue count on arrival,
+ * takes 1 on start, and prints both counts after. The return value is the
+ * bytes written, 0 once every stream is done, or -1 for a class above 1, a
+ * server outside [0, n_servers), or a time below the last row's, which
+ * happens exactly when some stream is out of time order.
  */
 
 #include <math.h>
@@ -274,35 +288,128 @@ static int tddq_format_ll(char *p, long long v)
     return len;
 }
 
-long long tddq_trace_rows(const double *time, const unsigned char *rank,
-                          const unsigned char *cls, const long long *server,
-                          const long long *order, long long n_rows, double scale,
-                          long long *queue, char *buf)
-{
-    /* ",event,class," per rank and class, and its length */
-    static const char *const labels[3][2] = {
-        {",depart,short,", ",depart,long,"},
-        {",start,short,", ",start,long,"},
-        {",arrival,short,", ",arrival,long,"},
-    };
-    static const size_t label_len[3][2] = {{14, 13}, {13, 12}, {15, 14}};
-    char *p = buf;
-    long long i;
+/* trace events, numbered by their rank among simultaneous events; each
+ * number also picks the event's label */
+enum { TDDQ_DEPART = 0, TDDQ_START = 1, TDDQ_ARRIVAL = 2 };
 
-    for (i = 0; i < n_rows; i++) {
-        long long k = order[i];
-        unsigned r = rank[k], c = cls[k];
-        if (r > 2 || c > 1)
-            return -1;
-        if (r == 2)
-            queue[c]++;
-        else if (r == 1)
-            queue[c]--;
-        p += tddq_format_g9(p, time[k] * scale);
-        memcpy(p, labels[r][c], label_len[r][c]);
-        p += label_len[r][c];
-        if (server[k] >= 0)
-            p += tddq_format_ll(p, server[k]);
+/* state[]: the queue counts, rows so far and the last row's time (its
+ * bits), then one cursor per stream */
+enum { TDDQ_QUEUE_SHORT, TDDQ_QUEUE_LONG, TDDQ_ROWS, TDDQ_LAST_TIME, TDDQ_CURSORS };
+
+/* the order of equal times: rank, then the order made (short arrivals
+ * before long ones, departures by record); a done stream's key is largest */
+#define TDDQ_KEY(rank, i) (((unsigned long long)(rank) << 56) | (unsigned long long)(i))
+#define TDDQ_NONE (~0ULL)
+
+typedef struct {
+    const double *arr[2]; /* short, long */
+    long long n_arr[2];
+    const double *dur, *start;
+    const long long *srv;
+    long long n_rec;
+    double per_server;
+} tddq_trace_in;
+
+/* The head of stream s (0 short arrivals, 1 long arrivals, 2 starts, 3 + j
+ * server j's departures) at its cursor, which a departure stream first
+ * moves onto its server's next record. */
+static void tddq_head(const tddq_trace_in *in, long long s, long long *cursor,
+                      double *time, unsigned long long *key)
+{
+    long long k = cursor[s];
+    if (s < 2 && k < in->n_arr[s]) {
+        *time = in->arr[s][k] * in->per_server;
+        *key = TDDQ_KEY(TDDQ_ARRIVAL, s);
+        return;
+    }
+    if (s == 2 && k < in->n_rec) {
+        *time = in->start[k];
+        *key = TDDQ_KEY(TDDQ_START, 0);
+        return;
+    }
+    if (s > 2) {
+        while (k < in->n_rec && in->srv[k] != s - 3)
+            k++;
+        cursor[s] = k;
+        if (k < in->n_rec) {
+            *time = in->start[k] + in->dur[k];
+            *key = TDDQ_KEY(TDDQ_DEPART, k);
+            return;
+        }
+    }
+    *time = INFINITY;
+    *key = TDDQ_NONE;
+}
+
+long long tddq_trace_merge(long long n_servers, double scale,
+                           const double *arr_s, long long n_s,
+                           const double *arr_l, long long n_l,
+                           const unsigned char *rec_cls, const double *rec_dur,
+                           const double *rec_start, const long long *rec_srv, long long n_rec,
+                           long long max_rows, long long *state, char *buf)
+{
+    /* ",event,class," per event and class, and its length */
+    static const char *const labels[3][2] = {
+        [TDDQ_DEPART] = {",depart,short,", ",depart,long,"},
+        [TDDQ_START] = {",start,short,", ",start,long,"},
+        [TDDQ_ARRIVAL] = {",arrival,short,", ",arrival,long,"},
+    };
+    static const size_t label_len[3][2] = {
+        [TDDQ_DEPART] = {14, 13}, [TDDQ_START] = {13, 12}, [TDDQ_ARRIVAL] = {15, 14},
+    };
+    const tddq_trace_in in = {{arr_s, arr_l}, {n_s, n_l}, rec_dur, rec_start, rec_srv,
+                              n_rec, 1.0 / (double)n_servers};
+    const long long n_streams = 3 + (n_servers > 0 ? n_servers : 0);
+    long long *cursor = state + TDDQ_CURSORS;
+    long long queue[2] = {state[TDDQ_QUEUE_SHORT], state[TDDQ_QUEUE_LONG]};
+    long long rows = state[TDDQ_ROWS], end = rows + max_rows, s, best;
+    double head_time[n_streams], last;
+    unsigned long long head_key[n_streams];
+    char *p = buf;
+
+    if (n_servers < 1)
+        return -1;
+    memcpy(&last, &state[TDDQ_LAST_TIME], sizeof last);
+    for (s = 0; s < n_streams; s++)
+        tddq_head(&in, s, cursor, &head_time[s], &head_key[s]);
+
+    for (; rows < end; rows++) {
+        long long k, srv = -1;
+        int rank, cls;
+        double t;
+
+        best = 0;
+        for (s = 1; s < n_streams; s++)
+            if (head_time[s] < head_time[best]
+                || (head_time[s] == head_time[best] && head_key[s] < head_key[best]))
+                best = s;
+        if (head_key[best] == TDDQ_NONE)
+            break; /* every stream is done */
+        t = head_time[best];
+        if (rows > 0 && t < last)
+            return -1; /* some stream is out of time order */
+        k = cursor[best]++;
+        if (best < 2) {
+            rank = TDDQ_ARRIVAL;
+            cls = (int)best;
+            queue[cls]++;
+        } else {
+            rank = best == 2 ? TDDQ_START : TDDQ_DEPART;
+            cls = rec_cls[k];
+            srv = rec_srv[k];
+            if (cls > 1 || srv < 0 || srv >= n_servers)
+                return -1;
+            if (rank == TDDQ_START)
+                queue[cls]--;
+        }
+        tddq_head(&in, best, cursor, &head_time[best], &head_key[best]);
+        last = t;
+
+        p += tddq_format_g9(p, t * scale);
+        memcpy(p, labels[rank][cls], label_len[rank][cls]);
+        p += label_len[rank][cls];
+        if (srv >= 0)
+            p += tddq_format_ll(p, srv);
         *p++ = ',';
         p += tddq_format_ll(p, queue[0]);
         *p++ = ',';
@@ -310,5 +417,9 @@ long long tddq_trace_rows(const double *time, const unsigned char *rank,
         *p++ = '\r';
         *p++ = '\n';
     }
+    state[TDDQ_QUEUE_SHORT] = queue[0];
+    state[TDDQ_QUEUE_LONG] = queue[1];
+    state[TDDQ_ROWS] = rows;
+    memcpy(&state[TDDQ_LAST_TIME], &last, sizeof last);
     return (long long)(p - buf);
 }

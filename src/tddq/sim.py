@@ -20,9 +20,12 @@ bit-identical Python reference `_schedule_py`; each start's record carries
 its own arrival and duration. Statistics, packets and the trace are then
 built from what the loop wrote: packets as one `PacketColumns` record of
 read-only arrays, which yields `Packet` rows only when iterated, and the
-trace as CSV rows that end in CRLF. The same build's row writer formats the
-trace (times exactly as `%.9g`) into a byte buffer a chunk at a time; its
-byte-identical Python reference `_write_trace` runs when no compiler works.
+trace as CSV rows that end in CRLF. The same build's trace writer merges
+the arrivals, starts and departures, each already in time order, straight
+from the draws and records, and formats the rows (times exactly as `%.9g`)
+into a byte buffer a chunk at a time; its byte-identical Python reference
+`_write_trace`, which builds and sorts the events, runs when no compiler
+works.
 
 Last, a run that drew leaves its draws in a one-place slot, keyed by what
 fixes them: the seed, config and service mode. Every run empties the slot as
@@ -224,10 +227,11 @@ def run(
     results are the same either way. A run that drew leaves its draws held
     for the next run() in the process, which frees them as it starts: a lone
     run keeps 16 bytes per drawn arrival until then. The schedule runs in a
-    compiled loop, and the trace comes from a compiled row writer, both
-    built on the first call in a process; when no C compiler works, the
-    bit-identical Python reference loop and writer run instead (with one
-    RuntimeWarning).
+    compiled loop, and the trace comes from a compiled writer that merges
+    the run's arrivals and start records without building or sorting an
+    event array; both are built on the first call in a process. When no C
+    compiler works, the bit-identical Python reference loop and writer run
+    instead (with one RuntimeWarning).
 
     `slot_aligned=False` lets service start the moment a server and packet are
     both available; `exponential_service=True` additionally replaces the
@@ -309,8 +313,9 @@ def run(
              - int(np.searchsorted(long_.arrivals, opening, "right")))
     packets = _packet_columns(out.records, slot) if keep_packets else None
     if trace_path:
-        _trace_writer()(trace_path, _trace_events(out, short.arrivals[:n_short],
-                                                  long_.arrivals[:n_long], n_servers), slot)
+        cls, _, duration, start, server = out.records
+        _trace_writer()(trace_path, short.arrivals[:n_short], long_.arrivals[:n_long],
+                        (cls, duration, start, server), n_servers, slot)
 
     span = t_end - t_w
     if span > 0:
@@ -468,7 +473,7 @@ class _Kernel(NamedTuple):
     signatures."""
 
     schedule: Callable[..., int]  # as _schedule_py
-    write_trace: Callable[[str, tuple, float], None]  # as _write_trace
+    write_trace: Callable[..., None]  # as _write_trace
 
 
 @functools.cache
@@ -496,9 +501,10 @@ def _kernel() -> _Kernel | None:
     schedule_fn.argtypes = [i64, ctypes.c_int, i64, i64, ptr, ptr, i64, ptr, ptr, i64,
                             ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     schedule_fn.restype = ctypes.c_int
-    rows_fn = lib.tddq_trace_rows
-    rows_fn.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ctypes.c_double, ptr, ptr]
-    rows_fn.restype = i64
+    merge_fn = lib.tddq_trace_merge
+    merge_fn.argtypes = [i64, ctypes.c_double, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, i64,
+                         i64, ptr, ptr]
+    merge_fn.restype = i64
 
     def schedule(n_servers: int, aligned: bool, horizon: int, warmup: int,
                  short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
@@ -510,22 +516,30 @@ def _kernel() -> _Kernel | None:
                            out.busy.ctypes, out.soj_s.ctypes, out.soj_l.ctypes,
                            out.acc.ctypes, out.cnt.ctypes, *records)
 
-    def write_trace(path: str, events: tuple, scale: float) -> None:
-        time, rank, cls, server = (np.ascontiguousarray(a, dtype) for a, dtype in
-                                   zip(events, (np.float64, np.uint8, np.uint8, np.int64)))
-        if not len(time) == len(rank) == len(cls) == len(server):
-            raise ValueError("trace event arrays differ in length")
-        order = np.lexsort((rank, time)).astype(np.int64, copy=False)
-        queue = np.zeros(2, np.int64)  # short and long counts, carried across chunks
+    def write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarray,
+                    records: tuple, n_servers: int, scale: float) -> None:
+        arr_s, arr_l = (np.ascontiguousarray(a, np.float64) for a in (short_arrivals,
+                                                                      long_arrivals))
+        cls, duration, start, server = (np.ascontiguousarray(a, dtype) for a, dtype in
+                                        zip(records, (np.uint8, np.float64, np.float64,
+                                                      np.int64)))
+        n_rec = len(start)
+        if not len(cls) == len(duration) == n_rec == len(server):
+            raise ValueError("trace record arrays differ in length")
+        # stream cursors, queue counts, rows, last time, a departure cursor per server
+        state = np.zeros(7 + n_servers, np.int64)
         buf = np.empty(_CHUNK * _ROW_BYTES, np.uint8)
+        # the data addresses once, as plain ints: each `.ctypes` makes objects
+        # in a reference cycle, which would pile up over the calls
+        p_s, p_l, p_cls, p_dur, p_start, p_srv, p_state, p_buf = (
+            a.ctypes.data for a in (arr_s, arr_l, cls, duration, start, server, state, buf))
         with open(path, "wb") as fh:
             fh.write(_TRACE_HEADER.encode())
-            for lo in range(0, len(order), _CHUNK):
-                part = order[lo:lo + _CHUNK]
-                size = rows_fn(time.ctypes, rank.ctypes, cls.ctypes, server.ctypes,
-                               part.ctypes, len(part), scale, queue.ctypes, buf.ctypes)
+            while size := merge_fn(n_servers, scale, p_s, len(arr_s), p_l, len(arr_l), p_cls,
+                                   p_dur, p_start, p_srv, n_rec, _CHUNK, p_state, p_buf):
                 if size < 0:
-                    raise ValueError("trace event rank above 2 or class above 1")
+                    raise ValueError("trace record class above 1, server out of range, "
+                                     "or a stream out of time order")
                 fh.write(buf[:size])
 
     return _Kernel(schedule, write_trace)
@@ -645,13 +659,15 @@ def _packet_columns(records: tuple, scale: float) -> PacketColumns:
                          (start + duration) * scale, server)
 
 
-def _trace_events(out: _Schedule, short_arrivals: np.ndarray,
-                  long_arrivals: np.ndarray, n_servers: int) -> tuple:
-    """The trace's events in the order the schedule made them: arrivals, short
-    before long, then starts and departures in start order. `_write_trace`
-    sorts them stably, so that order settles ties of time and rank. The
-    arrivals are per server, as drawn, and are scaled as the loop reads them."""
-    cls, _, duration, start, server = out.records
+def _trace_events(short_arrivals: np.ndarray, long_arrivals: np.ndarray,
+                 records: tuple, n_servers: int) -> tuple:
+    """The trace's events as parallel arrays (time in slots, rank, class 0
+    short / 1 long, server or -1), in the order the schedule made them:
+    arrivals, short before long, then starts and departures in start order.
+    `_write_trace` sorts them stably, so that order settles ties of time and
+    rank. The arrivals are per server, as drawn, and are scaled as the loop
+    reads them."""
+    cls, duration, start, server = records
     n_short, n_long, n_starts = len(short_arrivals), len(long_arrivals), len(start)
     n_arr = n_short + n_long
     time = np.concatenate((short_arrivals, long_arrivals, start, start + duration))
@@ -665,20 +681,23 @@ def _trace_events(out: _Schedule, short_arrivals: np.ndarray,
     )
 
 
-def _write_trace(path: str, events: tuple, scale: float) -> None:
-    """Replay events into the debug CSV (queue = arrived, unstarted).
+def _write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarray,
+                 records: tuple, n_servers: int, scale: float) -> None:
+    """Replay a run's events into the debug CSV (queue = arrived, unstarted).
 
-    `events` holds parallel arrays (time in slots, rank, class 0 short /
-    1 long, server or -1); rows come out by time, then rank, and otherwise in
-    the order given. Times keep 9 significant digits (`%.9g`) and rows end
-    in CRLF, as `csv.writer` wrote them.
+    The inputs are what run() keeps: each class's arrivals in slots, per
+    server as drawn, and one record per start (class 0 short / 1 long,
+    duration, start, server) in start order. Rows come out by time, then
+    rank (depart, start, arrival), and otherwise in the order `_trace_events`
+    makes them. Times keep 9 significant digits (`%.9g`) and rows end in
+    CRLF, as `csv.writer` wrote them.
 
-    The reference for `_schedule.c`'s row writer, which gives the same bytes,
-    and the writer run() uses when no compiler works: it sorts copies of the
-    events, counts the queues with cumulative sums and formats each chunk
-    from one row template.
+    The reference for `_schedule.c`'s merge, which gives the same bytes
+    without the events: this builds every event, orders them with one
+    `np.lexsort`, counts the queues with cumulative sums and formats each
+    chunk from one row template. run() uses it when no compiler works.
     """
-    time, rank, cls, server = events
+    time, rank, cls, server = _trace_events(short_arrivals, long_arrivals, records, n_servers)
     order = np.lexsort((rank, time))
     time, rank, cls, server = time[order], rank[order], cls[order], server[order]
     # queue lengths after each row: +1 on arrival, -1 on start

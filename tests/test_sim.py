@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import threading
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -329,25 +330,35 @@ def trace_writer(name):
     return compiled_kernel().write_trace if name == "c" else sim._write_trace
 
 
-def reference_write_trace(path, events, scale):
+# the order of simultaneous trace events
+TRACE_RANK = {"depart": 0, "start": 1, "arrival": 2}
+
+
+def reference_events(short_arrivals, long_arrivals, records, n_servers):
+    """The trace's events as (time, rank, index, event, class, server) rows in
+    row order: by time, then rank, then the order made (short arrivals, long
+    arrivals, starts, departures), sorted in Python."""
+    cls, duration, start, server = (np.asarray(a).tolist() for a in records)
+    per_server = 1.0 / n_servers
+    made = [(t * per_server, "arrival", c, -1)
+            for c, arrivals in enumerate((short_arrivals, long_arrivals))
+            for t in np.asarray(arrivals).tolist()]
+    made += [(s, "start", c, j) for c, s, j in zip(cls, start, server)]
+    made += [(s + d, "depart", c, j) for c, d, s, j in zip(cls, duration, start, server)]
+    return sorted((t, TRACE_RANK[e], i, e, c, j) for i, (t, e, c, j) in enumerate(made))
+
+
+def reference_write_trace(path, short_arrivals, long_arrivals, records, n_servers, scale):
     """The trace writer as it was built on `csv.writer`, kept to pin its bytes."""
-    time, rank, cls, server = events
-    order = np.lexsort((rank, time))
-    time, rank, cls, server = time[order], rank[order], cls[order], server[order]
-    step = (rank == 2).astype(np.int64) - (rank == 1)
-    q_short = np.cumsum(np.where(cls == 0, step, 0))
-    q_long = np.cumsum(np.where(cls == 1, step, 0))
+    queue = [0, 0]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "event", "class", "server", "queue_len_short", "queue_len_long"])
-        w.writerows(
-            [format(t, ".9g"), ("depart", "start", "arrival")[r], ("short", "long")[c],
-             j if j >= 0 else "", qs, ql]
-            for t, r, c, j, qs, ql in zip(
-                (time * scale).tolist(), rank.tolist(), cls.tolist(), server.tolist(),
-                q_short.tolist(), q_long.tolist(),
-            )
-        )
+        for t, _, _, event, c, j in reference_events(short_arrivals, long_arrivals, records,
+                                                     n_servers):
+            queue[c] += {"arrival": 1, "start": -1, "depart": 0}[event]
+            w.writerow([format(t * scale, ".9g"), event, ("short", "long")[c],
+                        j if j >= 0 else "", *queue])
 
 
 def tie_range(k):
@@ -386,20 +397,38 @@ def g9_edges():
     return edges
 
 
+NO_RECORDS = (np.empty(0, np.uint8), np.empty(0), np.empty(0), np.empty(0, np.int64))
+
+
 @st.composite
-def trace_events(draw):
-    """Event arrays for 1 or 2 servers: times tied, in exponent form, at
-    rounding ties and at the "%.9g" edges; rank mixes whose starts outrun
-    their arrivals drive the queue counts negative."""
+def trace_inputs(draw):
+    """What a run of 1 or 2 servers hands its trace writer: both classes'
+    per-server arrivals, sorted, and one record (class, duration, start,
+    server) per start, the starts never decreasing and never before their
+    server's last departure. Times come from a few values, tied, in exponent
+    form, at rounding ties and at the "%.9g" edges, so that arrivals tie
+    across classes and with starts, zero durations tie a departure with its
+    start, and departures tie across servers. Records are drawn apart from
+    the arrivals, so starts can outrun them and drive the queue counts
+    negative."""
     n_servers = draw(st.sampled_from([1, 2]))
     time = st.one_of(st.sampled_from([1e-6, 1.0, 2.0, 3.5]), st.floats(1e-6, 1e16),
                      st.sampled_from(g9_edges()), tenth_digit_ties())
-    ranks = st.sampled_from(draw(st.sampled_from([(0, 1, 2), (1,), (0, 1)])))
-    rows = draw(st.lists(st.tuples(time, ranks, st.integers(0, 1),
-                                   st.integers(-1, n_servers - 1)), max_size=40))
-    time, rank, cls, server = zip(*rows) if rows else ((),) * 4
-    return (np.array(time, dtype=float), np.array(rank, np.uint8),
-            np.array(cls, np.uint8), np.array(server, np.int64))
+    values = draw(st.lists(time, min_size=1, max_size=6))
+    # drawn per server, so that the writer's 1/n gives the values back exactly
+    arrivals = [np.array(sorted(draw(st.lists(st.sampled_from(values), max_size=12))))
+                * n_servers for _ in range(2)]
+    free = [0.0] * n_servers
+    records, last = [], 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        j = draw(st.integers(0, n_servers - 1))
+        start = max(draw(st.sampled_from(values)), last, free[j])
+        duration = draw(st.sampled_from([0.0, 1.0, 2.0, 0.5, draw(st.sampled_from(values))]))
+        records.append((draw(st.integers(0, 1)), duration, start, j))
+        last, free[j] = start, start + duration
+    cls, duration, start, server = zip(*records) if records else ((),) * 4
+    return (*arrivals, (np.array(cls, np.uint8), np.array(duration, dtype=float),
+                        np.array(start, dtype=float), np.array(server, np.int64)), n_servers)
 
 
 def g9_probes():
@@ -474,12 +503,12 @@ class TestTrace:
         assert all(abs(t / 0.5 - round(t / 0.5)) < 1e-9 for t in trace_starts)
 
     @settings(max_examples=200, deadline=None)
-    @given(trace_events(), st.sampled_from([1.0, 0.5, 0.25]))
-    def test_writer_matches_csv_module_reference(self, tmp_path_factory, events, scale):
+    @given(trace_inputs(), st.sampled_from([1.0, 0.5, 0.25]))
+    def test_writer_matches_csv_module_reference(self, tmp_path_factory, inputs, scale):
         tmp = tmp_path_factory.mktemp("trace")
-        reference_write_trace(str(tmp / "ref.csv"), events, scale)
+        reference_write_trace(str(tmp / "ref.csv"), *inputs, scale)
         for writer in ("py", "c"):  # the Python writer is checked even without a compiler
-            trace_writer(writer)(str(tmp / f"{writer}.csv"), events, scale)
+            trace_writer(writer)(str(tmp / f"{writer}.csv"), *inputs, scale)
             assert (tmp / f"{writer}.csv").read_bytes() == (tmp / "ref.csv").read_bytes(), writer
 
     @pytest.mark.parametrize("writer", ["c", "py"])
@@ -491,32 +520,70 @@ class TestTrace:
         run(topology=Topology.DECOUPLED, horizon=20_000, seed=3, trace_path=str(path), **kwargs)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_compiled_writer_streams(self, tmp_path, monkeypatch):
+        # what the writer allocates is its row buffer, however long the trace;
+        # tracemalloc sees numpy's buffers too
+        writer = trace_writer("c")
+        peaks = []
+        for horizon in (20_000, 200_000):
+            calls = []
+            monkeypatch.setattr(sim, "_trace_writer", lambda: lambda *args: calls.append(args))
+            run(fig3_config(0.7), Topology.DECOUPLED, horizon, seed=3,
+                trace_path=str(tmp_path / "trace.csv"))
+            (args,) = calls
+            tracemalloc.start()
+            try:
+                writer(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slack = 64 * 1024
+        assert peaks[1] <= peaks[0] + slack
+        assert max(peaks) <= sim._CHUNK * sim._ROW_BYTES + slack, peaks
+
     def test_compiled_time_format_is_percent_g(self, tmp_path):
-        # the writer keeps equal times in the order given, so sorted times
-        # come out row by row
+        # sorted times as the short arrivals of one server come out row by row
         times = np.sort(g9_probes())
         n = len(times)
         assert n >= 10**5
         path = tmp_path / "times.csv"
-        events = (times, np.full(n, sim._ARRIVAL, np.uint8), np.zeros(n, np.uint8),
-                  np.full(n, -1, np.int64))
-        trace_writer("c")(str(path), events, 1.0)
+        trace_writer("c")(str(path), times, np.empty(0), NO_RECORDS, 1, 1.0)
         got = [row.partition(",")[0] for row in path.read_bytes().decode().split("\r\n")[1:-1]]
         want = ["%.9g" % x for x in times.tolist()]
         assert len(got) == n
         assert [(x, g, w) for x, g, w in zip(times.tolist(), got, want) if g != w][:10] == []
 
-    @pytest.mark.parametrize("bad", ["rank", "class", "length"])
+    @pytest.mark.parametrize("bad", ["class", "server", "length", "short-arrivals-order",
+                                     "long-arrivals-order", "starts-order",
+                                     "departures-order"])
     def test_compiled_writer_rejects_bad_events(self, tmp_path, bad):
-        # the row writer indexes its event and class names by rank and class
-        events = [np.array([1.0, 2.0]), np.array([2, 1], np.uint8), np.array([0, 0], np.uint8),
-                  np.array([-1, 0], np.int64)]
-        if bad == "length":
-            events[3] = events[3][:1]
-        else:
-            events[1 if bad == "rank" else 2][1] = 3
-        with pytest.raises(ValueError, match="above|length"):
-            trace_writer("c")(str(tmp_path / "trace.csv"), tuple(events), 1.0)
+        # the merge indexes its names by class and its cursors by server, and
+        # checks that the times it emits never decrease
+        arrivals = {"short": np.array([1.0, 2.0]), "long": np.array([1.5, 3.0])}
+        records = {"cls": np.array([0, 1], np.uint8), "duration": np.array([1.0, 1.0]),
+                   "start": np.array([1.0, 2.0]), "server": np.array([0, 1], np.int64)}
+        path = str(tmp_path / "trace.csv")
+
+        def write():
+            trace_writer("c")(path, arrivals["short"], arrivals["long"],
+                              tuple(records.values()), 2, 1.0)
+
+        write()
+        if bad == "class":
+            records["cls"][1] = 2
+        elif bad == "server":
+            records["server"][1] = 2
+        elif bad == "length":
+            records["server"] = records["server"][:1]
+        elif bad.endswith("arrivals-order"):
+            arrivals[bad.partition("-")[0]] = arrivals[bad.partition("-")[0]][::-1].copy()
+        elif bad == "starts-order":
+            records["start"] = np.array([2.0, 1.0])
+        else:  # one server whose second departure comes before its first
+            records["server"][1] = 0
+            records["duration"] = np.array([5.0, 1.0])
+        with pytest.raises(ValueError, match="above|range|order|length"):
+            write()
 
     def test_packet_type_validation(self):
         with pytest.raises(ValueError):
