@@ -31,7 +31,7 @@
  * rec_cls (0 short, 1 long), rec_dur, rec_start and rec_srv, n_rec each.
  * Its 3 + n_servers streams are the short arrivals, the long arrivals,
  * the starts, and each server's departures rec_start + rec_dur in
- * record order. Rows come out by time, then rank (depart, start, arrival),
+ * record order. Rows come out by time, then rank (depart, arrival, start),
  * then the order short arrivals, long arrivals, starts, departures, each in
  * its own order: what a stable sort by (time, rank) of those events gives.
  * max_rows caps the rows of one call; scale turns slots into real time.
@@ -288,9 +288,10 @@ static int tddq_format_ll(char *p, long long v)
     return len;
 }
 
-/* trace events, numbered by their rank among simultaneous events; each
+/* trace events, numbered by their rank among simultaneous events (a packet
+ * that starts as it arrives is counted in before it is taken out); each
  * number also picks the event's label */
-enum { TDDQ_DEPART = 0, TDDQ_START = 1, TDDQ_ARRIVAL = 2 };
+enum { TDDQ_DEPART = 0, TDDQ_ARRIVAL = 1, TDDQ_START = 2 };
 
 /* state[]: the queue counts, rows so far and the last row's time (its
  * bits), then one cursor per stream */
@@ -351,11 +352,11 @@ long long tddq_trace_merge(long long n_servers, double scale,
     /* ",event,class," per event and class, and its length */
     static const char *const labels[3][2] = {
         [TDDQ_DEPART] = {",depart,short,", ",depart,long,"},
-        [TDDQ_START] = {",start,short,", ",start,long,"},
         [TDDQ_ARRIVAL] = {",arrival,short,", ",arrival,long,"},
+        [TDDQ_START] = {",start,short,", ",start,long,"},
     };
     static const size_t label_len[3][2] = {
-        [TDDQ_DEPART] = {14, 13}, [TDDQ_START] = {13, 12}, [TDDQ_ARRIVAL] = {15, 14},
+        [TDDQ_DEPART] = {14, 13}, [TDDQ_ARRIVAL] = {15, 14}, [TDDQ_START] = {13, 12},
     };
     const tddq_trace_in in = {{arr_s, arr_l}, {n_s, n_l}, rec_dur, rec_start, rec_srv,
                               n_rec, 1.0 / (double)n_servers};

@@ -646,8 +646,10 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     return _DONE
 
 
-_DEPART, _START, _ARRIVAL = 0, 1, 2  # trace ranks: the order of simultaneous events
-_EVENT_NAMES = ("depart", "start", "arrival")
+# trace ranks, the order of simultaneous events: a packet that starts as it
+# arrives is counted in before it is taken out
+_DEPART, _ARRIVAL, _START = 0, 1, 2
+_EVENT_NAMES = ("depart", "arrival", "start")
 _TRACE_HEADER = "time,event,class,server,queue_len_short,queue_len_long\r\n"
 _TRACE_ROW = "%.9g,%s,%d,%d\r\n"
 _ROW_BYTES = 95  # the longest row `_schedule.c` writes, as TDDQ_ROW_BYTES there
@@ -688,7 +690,7 @@ def _write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarra
     The inputs are what run() keeps: each class's arrivals in slots, per
     server as drawn, and one record per start (class 0 short / 1 long,
     duration, start, server) in start order. Rows come out by time, then
-    rank (depart, start, arrival), and otherwise in the order `_trace_events`
+    rank (depart, arrival, start), and otherwise in the order `_trace_events`
     makes them. Times keep 9 significant digits (`%.9g`) and rows end in
     CRLF, as `csv.writer` wrote them.
 

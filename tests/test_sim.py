@@ -330,8 +330,9 @@ def trace_writer(name):
     return compiled_kernel().write_trace if name == "c" else sim._write_trace
 
 
-# the order of simultaneous trace events
-TRACE_RANK = {"depart": 0, "start": 1, "arrival": 2}
+# the order of simultaneous trace events: a packet that starts as it
+# arrives is counted in before it is taken out
+TRACE_RANK = {"depart": 0, "arrival": 1, "start": 2}
 
 
 def reference_events(short_arrivals, long_arrivals, records, n_servers):
@@ -453,15 +454,16 @@ def g9_probes():
     return np.concatenate(parts)
 
 
-# sha256 of trace files as the Python writer wrote them before the compiled
-# writer existed; every writer must keep them
+# sha256 of trace files, which every writer must keep: fig3-rho0.7 as the
+# Python writer wrote it before the compiled writer existed, and
+# half-slot-unaligned since arrivals come before starts at equal times
 PINNED_TRACES = {
     "fig3-rho0.7": (dict(config=fig3_config(0.7)),
                     "302a459bd796dd9f8b58779f011d136a8c6ecddb957c49471daa6cffaf3edf68"),
     # slot 0.5 and starts off the slot grid: times that are not whole slots
     "half-slot-unaligned": (dict(config=replace(default_scenario(), mu_short=2.0).config_for(0.7),
                                  slot_aligned=False),
-                            "240053f713f12d82b500e7e074bd00550a3f7cfd558edc26ac73aa44618f062f"),
+                            "dca5e806b8dbc6685ab98c80c27068b72ba11cae8769abb718e917dd8b4873c2"),
 }
 
 
@@ -618,6 +620,18 @@ def small_runs(draw):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_runs())
+def test_trace_queue_counts_never_negative(tmp_path_factory, kwargs):
+    # a packet that starts the moment it arrives, as unaligned runs start
+    # one whenever a server is idle, is counted in before it is taken out
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    run(trace_path=str(path), **kwargs)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r for r in rows if min(int(r["queue_len_short"]), int(r["queue_len_long"])) < 0] == []
+
+
 def traced_run(trace_path, **kwargs):
     """run() with packets kept and a trace written: (summary, trace bytes)."""
     summary = run(keep_packets=True, trace_path=str(trace_path), **kwargs)
@@ -645,8 +659,8 @@ class TestCompiledKernel:
             assert got == expected, writer
 
     def test_shares_its_constants_with_python(self):
-        # the return codes, the 2**53 bound and the row bound are written
-        # once on each side
+        # the return codes, the 2**53 bound, the row bound and the trace
+        # ranks are written once on each side
         source = sim._SOURCE.read_text(encoding="utf-8")
         enum = re.search(r"enum \{([^}]*)\}", source).group(1)
         codes = {name: int(value) for name, value in re.findall(r"(TDDQ_\w+) = (\d+)", enum)}
@@ -656,6 +670,9 @@ class TestCompiledKernel:
         assert float(exact) == sim._EXACT_SLOTS
         row_bytes = re.search(r"#define TDDQ_ROW_BYTES (\d+)", source).group(1)
         assert int(row_bytes) == sim._ROW_BYTES
+        ranks = dict(re.findall(r"TDDQ_(DEPART|ARRIVAL|START) = (\d+)", source))
+        assert ranks == {"DEPART": str(sim._DEPART), "ARRIVAL": str(sim._ARRIVAL),
+                         "START": str(sim._START)}
 
     def test_growing_the_draws_leaves_results_unchanged(self, tmp_path, monkeypatch):
         kwargs = dict(config=fig3_config(0.9), topology=Topology.DECOUPLED,
