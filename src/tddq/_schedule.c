@@ -37,9 +37,10 @@
  * max_rows caps the rows of one call; scale turns slots into real time.
  *
  * Its state, 7 + n_servers int64 zeros before the first call, carries the
- * merge from one call to the next: the next short arrival, long arrival and
- * start; the short and long queue counts; the rows written and the bits of
- * the last row's time; then the next record of each server's departures.
+ * merge from one call to the next: the short and long queue counts, the
+ * rows written, the bits of the last row's time, then one cursor per
+ * stream (the next short arrival, long arrival and start, and the next
+ * record of each server's departures).
  *
  * Its outputs: buf, which holds at least TDDQ_ROW_BYTES per row, gets one
  * CSV row (time,event,class,server,queue_len_short,queue_len_long, then

@@ -526,7 +526,7 @@ def _kernel() -> _Kernel | None:
         n_rec = len(start)
         if not len(cls) == len(duration) == n_rec == len(server):
             raise ValueError("trace record arrays differ in length")
-        # stream cursors, queue counts, rows, last time, a departure cursor per server
+        # queue counts, rows, last time, a cursor per stream: `_schedule.c` has it
         state = np.zeros(7 + n_servers, np.int64)
         buf = np.empty(_CHUNK * _ROW_BYTES, np.uint8)
         # the data addresses once, as plain ints: each `.ctypes` makes objects
@@ -661,28 +661,6 @@ def _packet_columns(records: tuple, scale: float) -> PacketColumns:
                          (start + duration) * scale, server)
 
 
-def _trace_events(short_arrivals: np.ndarray, long_arrivals: np.ndarray,
-                 records: tuple, n_servers: int) -> tuple:
-    """The trace's events as parallel arrays (time in slots, rank, class 0
-    short / 1 long, server or -1), in the order the schedule made them:
-    arrivals, short before long, then starts and departures in start order.
-    `_write_trace` sorts them stably, so that order settles ties of time and
-    rank. The arrivals are per server, as drawn, and are scaled as the loop
-    reads them."""
-    cls, duration, start, server = records
-    n_short, n_long, n_starts = len(short_arrivals), len(long_arrivals), len(start)
-    n_arr = n_short + n_long
-    time = np.concatenate((short_arrivals, long_arrivals, start, start + duration))
-    time[:n_arr] *= 1.0 / n_servers
-    return (
-        time,
-        np.concatenate((np.full(n_arr, _ARRIVAL, np.uint8), np.full(n_starts, _START, np.uint8),
-                        np.full(n_starts, _DEPART, np.uint8))),
-        np.concatenate((np.zeros(n_short, np.uint8), np.ones(n_long, np.uint8), cls, cls)),
-        np.concatenate((np.full(n_arr, -1), server, server)),
-    )
-
-
 def _write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarray,
                  records: tuple, n_servers: int, scale: float) -> None:
     """Replay a run's events into the debug CSV (queue = arrived, unstarted).
@@ -690,8 +668,9 @@ def _write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarra
     The inputs are what run() keeps: each class's arrivals in slots, per
     server as drawn, and one record per start (class 0 short / 1 long,
     duration, start, server) in start order. Rows come out by time, then
-    rank (depart, arrival, start), and otherwise in the order `_trace_events`
-    makes them. Times keep 9 significant digits (`%.9g`) and rows end in
+    rank (depart, arrival, start), and otherwise in the order the schedule
+    made the events: arrivals, short before long, then starts and departures
+    in start order. Times keep 9 significant digits (`%.9g`) and rows end in
     CRLF, as `csv.writer` wrote them.
 
     The reference for `_schedule.c`'s merge, which gives the same bytes
@@ -699,7 +678,18 @@ def _write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarra
     `np.lexsort`, counts the queues with cumulative sums and formats each
     chunk from one row template. run() uses it when no compiler works.
     """
-    time, rank, cls, server = _trace_events(short_arrivals, long_arrivals, records, n_servers)
+    cls, duration, start, server = records
+    n_short, n_long, n_starts = len(short_arrivals), len(long_arrivals), len(start)
+    n_arr = n_short + n_long
+    # every event in the order made, the arrivals scaled as the loop reads them
+    time = np.concatenate((short_arrivals, long_arrivals, start, start + duration))
+    time[:n_arr] *= 1.0 / n_servers
+    rank = np.concatenate((np.full(n_arr, _ARRIVAL, np.uint8),
+                           np.full(n_starts, _START, np.uint8),
+                           np.full(n_starts, _DEPART, np.uint8)))
+    cls = np.concatenate((np.zeros(n_short, np.uint8), np.ones(n_long, np.uint8), cls, cls))
+    server = np.concatenate((np.full(n_arr, -1), server, server))
+    # a stable sort, so the order made settles ties of time and rank
     order = np.lexsort((rank, time))
     time, rank, cls, server = time[order], rank[order], cls[order], server[order]
     # queue lengths after each row: +1 on arrival, -1 on start

@@ -335,28 +335,22 @@ def trace_writer(name):
 TRACE_RANK = {"depart": 0, "arrival": 1, "start": 2}
 
 
-def reference_events(short_arrivals, long_arrivals, records, n_servers):
-    """The trace's events as (time, rank, index, event, class, server) rows in
-    row order: by time, then rank, then the order made (short arrivals, long
-    arrivals, starts, departures), sorted in Python."""
+def reference_write_trace(path, short_arrivals, long_arrivals, records, n_servers, scale):
+    """The trace writer built on `csv.writer` and Python's sort, kept to pin
+    the writers' bytes: rows by time, then rank, then the order made (short
+    arrivals, long arrivals, starts, departures)."""
     cls, duration, start, server = (np.asarray(a).tolist() for a in records)
-    per_server = 1.0 / n_servers
-    made = [(t * per_server, "arrival", c, -1)
+    made = [(t / n_servers, "arrival", c, -1)
             for c, arrivals in enumerate((short_arrivals, long_arrivals))
             for t in np.asarray(arrivals).tolist()]
     made += [(s, "start", c, j) for c, s, j in zip(cls, start, server)]
     made += [(s + d, "depart", c, j) for c, d, s, j in zip(cls, duration, start, server)]
-    return sorted((t, TRACE_RANK[e], i, e, c, j) for i, (t, e, c, j) in enumerate(made))
-
-
-def reference_write_trace(path, short_arrivals, long_arrivals, records, n_servers, scale):
-    """The trace writer as it was built on `csv.writer`, kept to pin its bytes."""
     queue = [0, 0]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "event", "class", "server", "queue_len_short", "queue_len_long"])
-        for t, _, _, event, c, j in reference_events(short_arrivals, long_arrivals, records,
-                                                     n_servers):
+        for t, _, _, event, c, j in sorted((t, TRACE_RANK[e], i, e, c, j)
+                                           for i, (t, e, c, j) in enumerate(made)):
             queue[c] += {"arrival": 1, "start": -1, "depart": 0}[event]
             w.writerow([format(t * scale, ".9g"), event, ("short", "long")[c],
                         j if j >= 0 else "", *queue])
@@ -578,7 +572,8 @@ class TestTrace:
         elif bad == "length":
             records["server"] = records["server"][:1]
         elif bad.endswith("arrivals-order"):
-            arrivals[bad.partition("-")[0]] = arrivals[bad.partition("-")[0]][::-1].copy()
+            kind = bad.partition("-")[0]
+            arrivals[kind] = arrivals[kind][::-1]
         elif bad == "starts-order":
             records["start"] = np.array([2.0, 1.0])
         else:  # one server whose second departure comes before its first
