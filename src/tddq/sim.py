@@ -15,17 +15,18 @@ durations as read-only arrays (`_draw`), the arrivals at the config's
 per-server rate whatever the topology; a run that needs more arrivals draws
 again, at twice the size, from the same seeds. The boundary loop schedules
 them, reading arrival k of an n-server run as `arrivals[k] * (1.0 / n)`,
-which is exact: the C kernel in `_schedule.c`, compiled on first use, or its
-bit-identical Python reference `_schedule_py`; each start's record carries
-its own arrival and duration. Statistics, packets and the trace are then
-built from what the loop wrote: packets as one `PacketColumns` record of
-read-only arrays, which yields `Packet` rows only when iterated, and the
-trace as CSV rows that end in CRLF. The same build's trace writer merges
-the arrivals, starts and departures, each already in time order, straight
-from the draws and records, and formats the rows (times exactly as `%.9g`)
-into a byte buffer a chunk at a time; its byte-identical Python reference
-`_write_trace`, which builds and sorts the events, runs when no compiler
-works.
+which is exact; each start's record carries its own arrival and duration.
+Statistics, packets and the trace are then built from what the loop wrote:
+packets as one `PacketColumns` record of read-only arrays, which yields
+`Packet` rows only when iterated, and the trace as CSV rows that end in
+CRLF. The trace writer merges the arrivals, starts and departures, each
+already in time order, straight from the draws and records, and formats the
+rows (times exactly as `%.9g`) into a byte buffer a chunk at a time.
+
+The loop and the writer come as one `_Kernel` from one `_kernel()` call:
+`_schedule.c` compiled on first use, or, when no compiler works, the Python
+twins `_schedule_py` (bit-identical) and `_write_trace` (byte-identical,
+which builds and sorts the events instead of merging them).
 
 Last, a run that drew leaves its draws in a one-place slot, keyed by what
 fixes them: the seed, config and service mode. Every run empties the slot as
@@ -226,12 +227,12 @@ def run(
     the previous run's draws when they fit (see the module docstring); the
     results are the same either way. A run that drew leaves its draws held
     for the next run() in the process, which frees them as it starts: a lone
-    run keeps 16 bytes per drawn arrival until then. The schedule runs in a
-    compiled loop, and the trace comes from a compiled writer that merges
-    the run's arrivals and start records without building or sorting an
-    event array; both are built on the first call in a process. When no C
-    compiler works, the bit-identical Python reference loop and writer run
-    instead (with one RuntimeWarning).
+    run keeps 16 bytes per drawn arrival until then. The schedule and the
+    trace come from the loop and writer of one `_kernel()` call: compiled on
+    the first call in a process, the writer merging the run's arrivals and
+    start records without building or sorting an event array; or, when no
+    C compiler works, their bit-identical Python references (with one
+    RuntimeWarning).
 
     `slot_aligned=False` lets service start the moment a server and packet are
     both available; `exponential_service=True` additionally replaces the
@@ -279,7 +280,7 @@ def run(
     share_s = lam_s / (lam_s + lam_l)
     n_s, n_l = _initial_draws(horizon, share_s), _initial_draws(horizon, 1.0 - share_s)
     collect = keep_packets or bool(trace_path)
-    schedule = _scheduler()
+    kernel = _kernel()
     key = _draw_key(seed, config, slot_aligned, exponential_service)
     draws = _take_draws(key, (n_s, n_l))
     drew = draws is None
@@ -287,7 +288,7 @@ def run(
         short, long_ = draws or (_draw(seqs_s, lam_s, short_service, n_s),
                                  _draw(seqs_l, lam_l, long_service, n_l))
         out = _Schedule(n_servers, horizon, warmup, short, long_, collect)
-        code = schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
+        code = kernel.schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
         if code != _NEED_MORE:
             break
         # same streams: the longer draw extends the shorter
@@ -314,8 +315,8 @@ def run(
     packets = _packet_columns(out.records, slot) if keep_packets else None
     if trace_path:
         cls, _, duration, start, server = out.records
-        _trace_writer()(trace_path, short.arrivals[:n_short], long_.arrivals[:n_long],
-                        (cls, duration, start, server), n_servers, slot)
+        kernel.write_trace(trace_path, short.arrivals[:n_short], long_.arrivals[:n_long],
+                           (cls, duration, start, server), n_servers, slot)
 
     span = t_end - t_w
     if span > 0:
@@ -469,17 +470,18 @@ _CC = "cc"
 
 
 class _Kernel(NamedTuple):
-    """`_schedule.c` loaded: its two functions with their Python twins'
-    signatures."""
+    """The scheduling loop and trace writer run() uses: `_schedule.c`
+    compiled, or its Python twins `_schedule_py` and `_write_trace`."""
 
     schedule: Callable[..., int]  # as _schedule_py
     write_trace: Callable[..., None]  # as _write_trace
 
 
 @functools.cache
-def _kernel() -> _Kernel | None:
+def _kernel() -> _Kernel:
     """`_schedule.c` compiled once per process into a private temporary
-    directory; None, with one RuntimeWarning, when no C compiler works."""
+    directory, or, with one RuntimeWarning when no C compiler works, the
+    Python twins."""
     try:
         with tempfile.TemporaryDirectory(prefix="tddq-") as tmp:
             lib_path = os.path.join(tmp, "_schedule.so")
@@ -493,9 +495,9 @@ def _kernel() -> _Kernel | None:
         warnings.warn(
             f"cannot build the C kernel ({exc}); using the slower Python reference "
             "loop and trace writer",
-            RuntimeWarning, stacklevel=4,
+            RuntimeWarning, stacklevel=3,  # the caller of run()
         )
-        return None
+        return _Kernel(_schedule_py, _write_trace)
     i64, ptr = ctypes.c_longlong, ctypes.c_void_p
     schedule_fn = lib.tddq_schedule
     schedule_fn.argtypes = [i64, ctypes.c_int, i64, i64, ptr, ptr, i64, ptr, ptr, i64,
@@ -506,15 +508,17 @@ def _kernel() -> _Kernel | None:
                          i64, ptr, ptr]
     merge_fn.restype = i64
 
+    # arrays go in as their data addresses, plain ints (None passes NULL):
+    # passing an array's `.ctypes` makes objects in a reference cycle, which
+    # would pile up over the calls
     def schedule(n_servers: int, aligned: bool, horizon: int, warmup: int,
                  short: _ClassDraws, long_: _ClassDraws, out: _Schedule) -> int:
-        # an array's `.ctypes` passes its data pointer; None passes NULL
-        records = [r.ctypes for r in out.records] if out.records else [None] * 5
+        records = [r.ctypes.data for r in out.records] if out.records else [None] * 5
         return schedule_fn(n_servers, aligned, horizon, warmup,
-                           short.arrivals.ctypes, short.services.ctypes, short.limit,
-                           long_.arrivals.ctypes, long_.services.ctypes, long_.limit,
-                           out.busy.ctypes, out.soj_s.ctypes, out.soj_l.ctypes,
-                           out.acc.ctypes, out.cnt.ctypes, *records)
+                           short.arrivals.ctypes.data, short.services.ctypes.data, short.limit,
+                           long_.arrivals.ctypes.data, long_.services.ctypes.data, long_.limit,
+                           out.busy.ctypes.data, out.soj_s.ctypes.data, out.soj_l.ctypes.data,
+                           out.acc.ctypes.data, out.cnt.ctypes.data, *records)
 
     def write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarray,
                     records: tuple, n_servers: int, scale: float) -> None:
@@ -529,8 +533,6 @@ def _kernel() -> _Kernel | None:
         # queue counts, rows, last time, a cursor per stream: `_schedule.c` has it
         state = np.zeros(7 + n_servers, np.int64)
         buf = np.empty(_CHUNK * _ROW_BYTES, np.uint8)
-        # the data addresses once, as plain ints: each `.ctypes` makes objects
-        # in a reference cycle, which would pile up over the calls
         p_s, p_l, p_cls, p_dur, p_start, p_srv, p_state, p_buf = (
             a.ctypes.data for a in (arr_s, arr_l, cls, duration, start, server, state, buf))
         with open(path, "wb") as fh:
@@ -543,18 +545,6 @@ def _kernel() -> _Kernel | None:
                 fh.write(buf[:size])
 
     return _Kernel(schedule, write_trace)
-
-
-def _scheduler():
-    """The compiled loop when it builds, else the Python reference."""
-    kernel = _kernel()
-    return kernel.schedule if kernel else _schedule_py
-
-
-def _trace_writer():
-    """The compiled trace writer when it builds, else the Python reference."""
-    kernel = _kernel()
-    return kernel.write_trace if kernel else _write_trace
 
 
 def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,

@@ -9,6 +9,7 @@ that the fixed seeds meet with margin.
 """
 
 import csv
+import gc
 import hashlib
 import math
 import re
@@ -320,9 +321,12 @@ class TestSweep:
 
 def compiled_kernel():
     kernel = sim._kernel()
-    if kernel is None:
+    if kernel.schedule is sim._schedule_py:
         pytest.skip("no working C compiler")
     return kernel
+
+
+PY_KERNEL = sim._Kernel(sim._schedule_py, sim._write_trace)
 
 
 def trace_writer(name):
@@ -511,7 +515,8 @@ class TestTrace:
     @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
     def test_trace_matches_recorded_digest(self, tmp_path, monkeypatch, writer, name):
         kwargs, digest = PINNED_TRACES[name]
-        monkeypatch.setattr(sim, "_trace_writer", lambda: trace_writer(writer))
+        kernel = sim._kernel()._replace(write_trace=trace_writer(writer))
+        monkeypatch.setattr(sim, "_kernel", lambda: kernel)
         path = tmp_path / "trace.csv"
         run(topology=Topology.DECOUPLED, horizon=20_000, seed=3, trace_path=str(path), **kwargs)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -519,17 +524,18 @@ class TestTrace:
     def test_compiled_writer_streams(self, tmp_path, monkeypatch):
         # what the writer allocates is its row buffer, however long the trace;
         # tracemalloc sees numpy's buffers too
-        writer = trace_writer("c")
+        kernel = compiled_kernel()
         peaks = []
         for horizon in (20_000, 200_000):
             calls = []
-            monkeypatch.setattr(sim, "_trace_writer", lambda: lambda *args: calls.append(args))
+            recording = kernel._replace(write_trace=lambda *args: calls.append(args))
+            monkeypatch.setattr(sim, "_kernel", lambda: recording)
             run(fig3_config(0.7), Topology.DECOUPLED, horizon, seed=3,
                 trace_path=str(tmp_path / "trace.csv"))
             (args,) = calls
             tracemalloc.start()
             try:
-                writer(*args)
+                kernel.write_trace(*args)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -633,11 +639,9 @@ def traced_run(trace_path, **kwargs):
     return summary, trace_path.read_bytes()
 
 
-def run_on(scheduler, trace_path, writer=None, **kwargs):
-    """`traced_run` with the given scheduling loop, and trace writer if given."""
-    writer = writer or sim._trace_writer()
-    with mock.patch.object(sim, "_scheduler", lambda: scheduler), \
-            mock.patch.object(sim, "_trace_writer", lambda: writer):
+def run_on(kernel, trace_path, **kwargs):
+    """`traced_run` with the given scheduling loop and trace writer."""
+    with mock.patch.object(sim, "_kernel", lambda: kernel):
         return traced_run(trace_path, **kwargs)
 
 
@@ -647,10 +651,10 @@ class TestCompiledKernel:
     def test_matches_python_reference(self, tmp_path_factory, kwargs):
         # the compiled loop, with either writer, against the Python loop and writer
         tmp = tmp_path_factory.mktemp("kernel")
-        expected = run_on(sim._schedule_py, tmp / "py.csv", sim._write_trace, **kwargs)
+        expected = run_on(PY_KERNEL, tmp / "py.csv", **kwargs)
         for writer in ("c", "py"):
-            got = run_on(compiled_kernel().schedule, tmp / f"c-{writer}.csv",
-                         trace_writer(writer), **kwargs)
+            got = run_on(compiled_kernel()._replace(write_trace=trace_writer(writer)),
+                         tmp / f"c-{writer}.csv", **kwargs)
             assert got == expected, writer
 
     def test_shares_its_constants_with_python(self):
@@ -672,18 +676,19 @@ class TestCompiledKernel:
     def test_growing_the_draws_leaves_results_unchanged(self, tmp_path, monkeypatch):
         kwargs = dict(config=fig3_config(0.9), topology=Topology.DECOUPLED,
                       horizon=3_000, warmup=300, seed=31)
-        expected = run_on(compiled_kernel().schedule, tmp_path / "ref.csv", **kwargs)
+        expected = run_on(compiled_kernel(), tmp_path / "ref.csv", **kwargs)
         monkeypatch.setattr(sim, "_initial_draws", lambda horizon, share: 1)
         monkeypatch.setattr(sim, "_DRAW_BLOCK", 7)
-        for name, scheduler in (("c", compiled_kernel().schedule), ("py", sim._schedule_py)):
+        for name, kernel in (("c", compiled_kernel()), ("py", PY_KERNEL)):
             monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held that would fit
             calls = []
 
-            def counting(*args, scheduler=scheduler):
+            def counting(*args, schedule=kernel.schedule):
                 calls.append(1)
-                return scheduler(*args)
+                return schedule(*args)
 
-            assert run_on(counting, tmp_path / f"{name}.csv", **kwargs) == expected
+            assert run_on(kernel._replace(schedule=counting), tmp_path / f"{name}.csv",
+                          **kwargs) == expected
             assert len(calls) > 1  # at least one grow-and-rerun
 
     @pytest.fixture
@@ -695,16 +700,32 @@ class TestCompiledKernel:
     def test_no_compiler_falls_back_to_reference(self, tmp_path, monkeypatch, fresh_kernel):
         # both Python twins: the same summary, packets and trace bytes
         kwargs = dict(config=fig3_config(0.7), topology=Topology.DECOUPLED, horizon=5_000, seed=8)
-        expected = traced_run(tmp_path / "c.csv", **kwargs)
-        assert sim._kernel() is not None
+        expected = run_on(compiled_kernel(), tmp_path / "c.csv", **kwargs)
         sim._kernel.cache_clear()
         monkeypatch.setattr(sim, "_CC", "tddq-no-such-compiler")
         with pytest.warns(RuntimeWarning, match="Python reference") as caught:
-            first = traced_run(tmp_path / "first.csv", **kwargs)
+            # called from here, so that the warning must name this file
+            first = run(keep_packets=True, trace_path=str(tmp_path / "first.csv"), **kwargs)
             second = traced_run(tmp_path / "second.csv", **kwargs)
-        assert len(caught) == 1
-        assert sim._scheduler() is sim._schedule_py and sim._trace_writer() is sim._write_trace
-        assert first == expected and second == expected
+        assert len(caught) == 1 and caught[0].filename == __file__
+        assert sim._kernel() == (sim._schedule_py, sim._write_trace)
+        assert (first, (tmp_path / "first.csv").read_bytes()) == expected
+        assert second == expected
+
+    def test_compiled_runs_leave_no_garbage_cycles(self, tmp_path):
+        # with gc off, what a run leaves in reference cycles would pile up
+        compiled_kernel()
+        kwargs = dict(config=fig3_config(0.7), topology=Topology.DECOUPLED, horizon=2_000, seed=5)
+        for extra in ({}, {"keep_packets": True}, {"trace_path": str(tmp_path / "trace.csv")}):
+            run(**kwargs, **extra)  # anything a first run sets up once
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(5):
+                    run(**kwargs, **extra)
+                assert gc.collect() == 0, extra
+            finally:
+                gc.enable()
 
     def test_source_compiles_without_warnings(self, tmp_path):
         # run() builds the kernel with its compiler output dropped; this shows it
@@ -723,14 +744,15 @@ class TestCompiledKernel:
     def test_vanishing_traffic_rejected(self, monkeypatch, loop, topology, lam):
         # at 1e-307 arrival times overflow to +inf, at 1e-17 they pass 2**53
         # slots, where a one-slot service no longer advances the clock
-        scheduler = compiled_kernel().schedule if loop == "c" else sim._schedule_py
-        monkeypatch.setattr(sim, "_scheduler", lambda: scheduler)
+        kernel = compiled_kernel() if loop == "c" else PY_KERNEL
+        monkeypatch.setattr(sim, "_kernel", lambda: kernel)
         config = TrafficConfig(lam, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
         with pytest.raises(ValueError, match="vanishing traffic"):
             run(config, topology, 1000, seed=1)
 
     def test_work_conservation_breach_raises(self, monkeypatch):
-        monkeypatch.setattr(sim, "_scheduler", lambda: lambda *args: sim._BREACH)
+        kernel = PY_KERNEL._replace(schedule=lambda *args: sim._BREACH)
+        monkeypatch.setattr(sim, "_kernel", lambda: kernel)
         with pytest.raises(RuntimeError, match="work conservation"):
             run(MM1_CONFIG, Topology.COUPLED, 100, seed=1)
 
@@ -863,7 +885,7 @@ class TestSharedDraws:
         monkeypatch.setattr(sim, "_draw_slot", [])
         run(topology=Topology.COUPLED, **kwargs)
         sizes, passes = [], []
-        draw, schedule = sim._draw, sim._scheduler()
+        draw, kernel = sim._draw, sim._kernel()
 
         def counting_draw(*args):
             sizes.append(args[3])
@@ -871,10 +893,10 @@ class TestSharedDraws:
 
         def counting_schedule(*args):
             passes.append(1)
-            return schedule(*args)
+            return kernel.schedule(*args)
 
         monkeypatch.setattr(sim, "_draw", counting_draw)
-        got = run_on(counting_schedule, tmp_path / "got.csv",
+        got = run_on(kernel._replace(schedule=counting_schedule), tmp_path / "got.csv",
                      topology=Topology.DECOUPLED, **kwargs)
         assert got == expected
         assert len(passes) == 2 and sizes == [20_000, 4862]  # only the second pass drew
