@@ -20,7 +20,6 @@ from .traffic import (
     TrafficConfig,
     long_service_moments,
     short_service_moments,
-    utilization,
 )
 
 __all__ = [
@@ -60,9 +59,15 @@ class SojournPrediction:
 
 
 def _moments(config: TrafficConfig):
+    """Service moments and (rho, rho_S) from one long-service lookup.
+
+    rho and rho_S use `utilization`'s expressions; its saturation check is
+    left out, since a constructed TrafficConfig has already passed it.
+    """
     e_s, e_s2 = short_service_moments(config)
     e_l, e_l2 = long_service_moments(config.channel, config.table)
-    rho, rho_s, rho_l = utilization(config)
+    rho_s = config.lambda_short * e_s
+    rho = rho_s + config.lambda_long * e_l
     return e_s, e_s2, e_l, e_l2, rho, rho_s
 
 
@@ -227,17 +232,27 @@ class ResidualModel:
         return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw residuals via inverse CDF on uniforms from the passed stream."""
-        u = rng.random(size)
-        if self.family == "exponential":
-            return -np.log1p(-u) / self.rate
-        if self.family == "truncated-exponential":
-            norm = 1.0 - math.exp(-self.rate * self.s_long_max)
-            return -np.log1p(-u * norm) / self.rate
-        if self.family == "uniform":
-            return u * self.s_long_max
-        xs = np.asarray(self.samples)
-        return xs[(u * len(xs)).astype(np.int64)]
+        """Draw residuals via inverse CDF on uniforms from the passed stream.
+
+        The uniforms are transformed in place, with the float operations of
+        -log1p(-u*norm)/rate and u*s_long_max in their order, so the result
+        is a fresh array that the caller owns and may modify (a float64
+        scalar when `size` is None).
+        """
+        u = np.asarray(rng.random(size))
+        if self.family in ("exponential", "truncated-exponential"):
+            if self.family == "truncated-exponential":
+                u *= 1.0 - math.exp(-self.rate * self.s_long_max)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            np.negative(u, out=u)
+            u /= self.rate
+        elif self.family == "uniform":
+            u *= self.s_long_max
+        else:  # empirical
+            u *= len(self.samples)
+            u = np.asarray(self.samples)[u.astype(np.int64)]
+        return u if u.ndim else u[()]
 
 
 def residual_cdf(model: ResidualModel, y, decoupled: bool):
@@ -264,7 +279,9 @@ def cycle_time_stats(
     TTI first waits out the residual time of the serving side. The two
     directions draw independent residuals; decoupled access replaces each
     draw with the min of two independent server draws.
-    Returns (mean, samples); raises ValueError when they are not finite.
+    Returns (mean, samples), where samples is a fresh array that the caller
+    owns (`cycle-time` sorts it in place for its quantiles); raises
+    ValueError when they are not finite.
     """
     if not 0.0 < s_short < math.inf:
         raise ValueError(f"s_short must be positive and finite, got {s_short}")
@@ -279,7 +296,10 @@ def cycle_time_stats(
         else:
             res_a = residual.sample(rng, n_samples)
             res_b = residual.sample(rng, n_samples)
-        samples = 2.0 * s_short + t_proc + res_a + res_b
+        # (2*s_short + t_proc) + res_a + res_b, summed into res_a
+        samples = res_a
+        samples += 2.0 * s_short + t_proc
+        samples += res_b
         mean = float(samples.mean())
     if not math.isfinite(mean):  # samples are >= 0, so any inf or NaN one shows in the mean
         raise ValueError(f"cycle-time samples or their mean are not finite (mean {mean})")

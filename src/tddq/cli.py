@@ -145,12 +145,14 @@ def cmd_residual_cdf(args: argparse.Namespace) -> int:
     n = args.samples
     rng = np.random.default_rng(args.seed)
     draws = (model.sample(rng, n), np.minimum(*model.sample(rng, (n, 2)).T))
+    for d in draws:
+        d.sort()
     grid = np.arange(0.0, args.s_long + args.grid_step / 2, args.grid_step)
     columns = [
         grid,
         residual_cdf(model, grid, decoupled=False),
         residual_cdf(model, grid, decoupled=True),
-        *(np.searchsorted(np.sort(d), grid, side="right") / n for d in draws),
+        *(np.searchsorted(d, grid, side="right") / n for d in draws),
     ]
     with _open_out(args.out) as fh:
         w = csv.writer(fh)
@@ -169,6 +171,7 @@ def cmd_cycle_time(args: argparse.Namespace) -> int:
     for topo in (Topology.COUPLED, Topology.DECOUPLED):
         mean, samples = cycle_time_stats(model, args.s_short, args.t_proc,
                                          topo is Topology.DECOUPLED, args.samples, rng)
+        samples.sort()  # the quantiles are those of the unsorted draws, found faster
         q = np.quantile(samples, [0.5, 0.9, 0.99, 0.999])
         rows.append([topo.value, mean, *map(float, q)])
     with _open_out(args.out) as fh:

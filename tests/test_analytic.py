@@ -6,6 +6,7 @@ re-derivation of the two-server approximation, and order statistics of
 uniform/exponential minima.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -29,8 +30,10 @@ from tddq import (
     mg2_priority_sojourn,
     residual_cdf,
     short_service_moments,
+    solve_arrival_rates,
     utilization,
 )
+from tddq import analytic, traffic
 
 SQRT6 = math.sqrt(6.0)
 
@@ -246,6 +249,34 @@ class TestMg2PrioritySojourn:
             assert wait_long / base.wait_long == pytest.approx(e_l / rho, rel=1e-9)
 
 
+def residual_model(family, rate, s_long_max, fractions):
+    """A model of `family`; empirical samples are `fractions` of s_long_max."""
+    if family == "empirical":
+        return ResidualModel(family, s_long_max,
+                             samples=tuple(f * s_long_max for f in fractions))
+    return ResidualModel(family, s_long_max, rate=rate)
+
+
+def out_of_place_sample(model, u):
+    """Inverse-CDF residuals written as whole-array expressions, the reference
+    for the in-place transform of `ResidualModel.sample`."""
+    if model.family == "exponential":
+        return -np.log1p(-u) / model.rate
+    if model.family == "truncated-exponential":
+        norm = 1.0 - math.exp(-model.rate * model.s_long_max)
+        return -np.log1p(-u * norm) / model.rate
+    if model.family == "uniform":
+        return u * model.s_long_max
+    xs = np.asarray(model.samples)
+    return xs[(u * len(xs)).astype(np.int64)]
+
+
+FAMILY = st.sampled_from(["exponential", "truncated-exponential", "uniform", "empirical"])
+RATE = st.floats(1e-3, 1e3)
+S_LONG = st.floats(1e-3, 1e3)
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+
+
 class TestResidualModel:
     def test_cdf_zero_at_origin(self):
         models = [
@@ -322,6 +353,24 @@ class TestResidualModel:
         assert decoupled >= coupled - 1e-12
         if 1e-9 < coupled < 1.0 - 1e-9:
             assert decoupled > coupled
+
+    @given(FAMILY, RATE, S_LONG, FRACTIONS,
+           st.sampled_from([None, (), 1, 17, 64, (1, 2), (33, 2)]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_matches_out_of_place_expressions(self, family, rate, s_long_max,
+                                                     fractions, size, seed):
+        model = residual_model(family, rate, s_long_max, fractions)
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        got = model.sample(rng, size)
+        want = out_of_place_sample(model, np.asarray(clone.random(size)))
+        assert np.shape(got) == np.shape(want) == np.shape(np.empty(size or ()))
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+        if size is None:
+            assert isinstance(got, np.float64)
+        # the same uniforms were consumed
+        assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_cdfs_monotone(self):
         y = np.linspace(0.0, 12.0, 200)
@@ -411,6 +460,26 @@ class TestCycleTime:
         res_b = residual.sample(rng, (n, 2)).min(axis=1)
         assert samples.tobytes() == (2.0 * 1.0 + 2.0 + res_a + res_b).tobytes()
 
+    @given(FAMILY, RATE, S_LONG, FRACTIONS, st.booleans(), st.floats(1e-3, 1e3),
+           st.floats(0.0, 1e3), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_samples_are_fixed_part_plus_both_residuals(self, family, rate, s_long_max,
+                                                        fractions, decoupled, s_short,
+                                                        t_proc, n, seed):
+        model = residual_model(family, rate, s_long_max, fractions)
+        mean, samples = cycle_time_stats(model, s_short, t_proc, decoupled, n,
+                                         np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        if decoupled:
+            res_a = np.minimum(*model.sample(rng, (n, 2)).T)
+            res_b = np.minimum(*model.sample(rng, (n, 2)).T)
+        else:
+            res_a = model.sample(rng, n)
+            res_b = model.sample(rng, n)
+        want = 2 * s_short + t_proc + res_a + res_b
+        assert samples.tobytes() == want.tobytes()
+        assert mean == float(want.mean())
+
     def test_decoupled_never_slower(self):
         residual = ResidualModel("truncated-exponential", 10.0, rate=0.4)
         rng = np.random.default_rng(5)
@@ -437,3 +506,47 @@ class TestCycleTime:
         with pytest.raises(ValueError, match=field):
             cycle_time_stats(ResidualModel("uniform", 10.0), s_short, t_proc, False, 1,
                              np.random.default_rng(0))
+
+
+class TestMomentLookups:
+    @pytest.mark.parametrize("form", [mg1_priority_sojourn, mg1_priority_sojourn_slotted,
+                                      mg2_priority_sojourn], ids=lambda f: f.__name__)
+    def test_one_long_service_lookup_per_call(self, monkeypatch, form):
+        config = fig3_config(0.7)
+        want = form(config)
+        calls, lookups = [], []
+
+        def counting(channel, table):
+            calls.append((channel, table))
+            return long_service_moments(channel, table)
+
+        cached = traffic._long_service_moments
+
+        def looking_up(channel, table):
+            lookups.append((channel, table))
+            return cached(channel, table)
+
+        monkeypatch.setattr(analytic, "long_service_moments", counting)
+        # every lookup in the traffic layer, `utilization`'s included
+        monkeypatch.setattr(traffic, "_long_service_moments", looking_up)
+        assert form(config) == want
+        assert calls == lookups == [(config.channel, config.table)]
+
+    @given(st.floats(1e-3, 0.999), st.floats(0.0, 20.0), st.sampled_from([1.0, 3.0, 7.0, 10.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_loads_equal_utilization(self, rho, ratio, mu_short):
+        # fig3's TTIs in slots of 1/mu_short, which keeps them slot-aligned
+        base = fig3_config(0.5)
+        table = RateAdaptationTable(base.table.thresholds,
+                                    tuple(r * mu_short for r in base.table.rates))
+        lam_s, lam_l = solve_arrival_rates(rho, ratio, base.channel, table, mu_short)
+        config = TrafficConfig(lam_s, lam_l, mu_short, base.channel, table)
+        rho_got, rho_s_got = analytic._moments(config)[4:]
+        assert (rho_got, rho_s_got) == utilization(config)[:2]
+
+    @pytest.mark.parametrize("lam_s, lam_l", [(0.2, 0.4), (0.0, 0.5)],
+                             ids=["rho-1", "long-only-rho-1"])
+    def test_saturated_config_rejected_when_built(self, lam_s, lam_l):
+        # the closed forms skip the saturation check because construction makes it
+        with pytest.raises(SaturationError):
+            single_rate_config(lam_s, lam_l, duration=2.0)

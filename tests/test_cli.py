@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tddq import ResidualModel, Topology, cli, load_scenario, sim
+from tddq import ResidualModel, Topology, cli, cycle_time_stats, load_scenario, sim
 from tddq.cli import main
 
 FIG3_CFG = str(Path(__file__).resolve().parents[1] / "experiments" / "fig3.cfg")
@@ -314,6 +314,22 @@ class TestCycleTime:
         for row in rows:
             for col in ("mean", "p50", "p90", "p99", "p999"):
                 assert float(row[col]) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000])
+    def test_quantiles_are_those_of_the_unsorted_draws(self, tmp_path, n):
+        out = tmp_path / "cyc.csv"
+        assert main(["cycle-time", "--family", "truncated-exponential", "--rate", "0.7",
+                     "--samples", str(n), "--seed", "11", "--out", str(out)]) == 0
+        model = ResidualModel("truncated-exponential", 10.0, rate=0.7)
+        rng = np.random.default_rng(11)
+        for row, topo in zip(read_rows(out), (Topology.COUPLED, Topology.DECOUPLED)):
+            mean, samples = cycle_time_stats(model, 1.0, 2.0, topo is Topology.DECOUPLED,
+                                             n, rng)
+            want = np.quantile(samples, [0.5, 0.9, 0.99, 0.999])
+            assert row["topology"] == topo.value
+            assert row["mean"] == cli._fmt(mean)
+            assert [row[q] for q in ("p50", "p90", "p99", "p999")] == [
+                cli._fmt(float(x)) for x in want]
 
     def test_uniform_order_statistics(self, tmp_path):
         out = tmp_path / "cyc.csv"
