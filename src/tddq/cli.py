@@ -95,7 +95,7 @@ def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
               "sim_mean", "sim_ci95", "rel_err", "error"]
     # point by point, coupled then decoupled: the decoupled run takes the
     # coupled run's draws (same seed, per-server arrivals) instead of drawing,
-    # and leaves nothing held
+    # and the next point draws into the same arrays
     points = [
         (topo, *sweep(scenario, topo, [rho], args.horizon, args.warmup,
                       seed_base=args.seed + i))

@@ -28,11 +28,15 @@ The loop and the writer come as one `_Kernel` from one `_kernel()` call:
 twins `_schedule_py` (bit-identical) and `_write_trace` (byte-identical,
 which builds and sorts the events instead of merging them).
 
-Last, a run that drew leaves its draws in a one-place slot, keyed by what
-fixes them: the seed, config and service mode. Every run empties the slot as
-it starts and schedules the held draws if the key matches and they reach its
-own sizes, so a decoupled run after a coupled one with the same seed (as
-`sojourn-sweep` makes at each load point) draws nothing.
+Last, after its last read of them, a run leaves its draws and sojourn
+buffers in a one-place slot, keyed by what fixes the draws: the seed, config
+and service mode. Every run empties the slot as it starts. It schedules the
+held draws if the key matches and they reach its own sizes, so a decoupled
+run after a coupled one with the same seed (as `sojourn-sweep` makes at each
+load point) draws nothing; else it draws into the held arrays where they
+have room. Its sojourns go into the held buffers likewise. So one run's
+buffers, ~24 bytes per drawn arrival, stay held between runs, and a sweep
+allocates them once.
 """
 
 from __future__ import annotations
@@ -225,9 +229,9 @@ def run(
     Each class draws its arrivals (at the per-server rate) and service
     durations up front from its own streams of `SeedSequence(seed)`, or takes
     the previous run's draws when they fit (see the module docstring); the
-    results are the same either way. A run that drew leaves its draws held
-    for the next run() in the process, which frees them as it starts: a lone
-    run keeps 16 bytes per drawn arrival until then. The schedule and the
+    results are the same either way. A run that returns leaves its draws and
+    sojourn buffers, ~24 bytes per drawn arrival, to the next run() in the
+    process, which schedules, redraws into or frees them. The schedule and the
     trace come from the loop and writer of one `_kernel()` call: compiled on
     the first call in a process, the writer merging the run's arrivals and
     start records without building or sorting an event array; or, when no
@@ -282,20 +286,18 @@ def run(
     collect = keep_packets or bool(trace_path)
     kernel = _kernel()
     key = _draw_key(seed, config, slot_aligned, exponential_service)
-    draws = _take_draws(key, (n_s, n_l))
-    drew = draws is None
+    draws, (spare_s, spare_l), sojourns = _take_draws(key, (n_s, n_l))
     while True:
-        short, long_ = draws or (_draw(seqs_s, lam_s, short_service, n_s),
-                                 _draw(seqs_l, lam_l, long_service, n_l))
-        out = _Schedule(n_servers, horizon, warmup, short, long_, collect)
+        short, long_ = draws or (_draw(seqs_s, lam_s, short_service, n_s, spare_s),
+                                 _draw(seqs_l, lam_l, long_service, n_l, spare_l))
+        out = _Schedule(n_servers, horizon, warmup, short, long_, collect, sojourns)
+        sojourns = None  # held buffers without room are freed before the loop writes
         code = kernel.schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
         if code != _NEED_MORE:
             break
-        # same streams: the longer draw extends the shorter
+        # same streams: the longer draw extends the shorter, in place if it has room
         n_s, n_l = 2 * max(n_s, short.limit), 2 * max(n_l, long_.limit)
-        draws, drew = None, True
-    if drew and key is not None:
-        _draw_slot[:] = [(key, (short, long_))]
+        draws, spare_s, spare_l, sojourns = None, short, long_, (out.soj_s, out.soj_l)
     if code == _STALLED:
         raise ValueError("vanishing traffic: time passes 2**53 slots, where whole "
                          f"slots are no longer exact, before {horizon} packets are served")
@@ -332,6 +334,8 @@ def run(
 
     short_stats = _class_stats(out.soj_s[:k_s], slot)
     long_stats = _class_stats(out.soj_l[:k_l], slot)
+    # after the last reads of the draws and sojourns: the next run may write them
+    _draw_slot[:] = [(key, (short, long_), (out.soj_s, out.soj_l))]
     converged = all(
         cs.count == 0 or (math.isfinite(cs.ci95) and cs.ci95 <= 0.1 * cs.mean)
         for cs in (short_stats, long_stats)
@@ -376,16 +380,19 @@ class _ClassDraws:
     limit: int
 
 
-def _draw(seqs, lam: float, service, n: int) -> _ClassDraws:
+def _draw(seqs, lam: float, service, n: int, spare: _ClassDraws | None = None) -> _ClassDraws:
     """`n` arrivals at rate `lam` with durations from `service(rng, n)`.
 
     Gaps and durations come from fresh generators on the two seed sequences
-    `seqs`, so a larger `n` extends a smaller one's arrays unchanged.
+    `seqs`, so a larger `n` extends a smaller one's arrays unchanged. They
+    go into the arrays under `spare`, a draw that no run reads any more,
+    where those have room, else into new ones, read-only once written.
     """
     gaps, durations = (np.random.default_rng(s) for s in seqs)
     limit = n if lam > 0 else -1
-    arrivals = np.empty(max(limit, 0) + 1)
-    services = np.empty_like(arrivals)
+    size = max(limit, 0) + 1
+    arrivals = _room(spare and spare.arrivals, size)
+    services = _room(spare and spare.services, size)
     arrivals[-1] = services[-1] = math.inf
     # in blocks, so that temporaries stay small next to the arrays
     for lo in range(0, limit, _DRAW_BLOCK):
@@ -399,12 +406,26 @@ def _draw(seqs, lam: float, service, n: int) -> _ClassDraws:
                 times[0] += arrivals[lo - 1]
             np.cumsum(times, out=times)
         services[lo:hi] = service(durations, hi - lo)
-    arrivals.setflags(write=False)
-    services.setflags(write=False)
+    for array in (arrivals, services, _owner(arrivals), _owner(services)):
+        array.setflags(write=False)
     return _ClassDraws(arrivals, services, limit)
 
 
-_draw_slot: list[tuple[tuple, tuple[_ClassDraws, _ClassDraws]]] = []  # at most one (key, draws)
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns `array`'s memory."""
+    return array if array.base is None else array.base
+
+
+def _room(spare: np.ndarray | None, n: int) -> np.ndarray:
+    """The first `n` elements, writable, of the array that `spare` is or
+    views, if it has that many; else a new array."""
+    if spare is None or len(owner := _owner(spare)) < n:
+        return np.empty(n)
+    owner.setflags(write=True)
+    return owner[:n]
+
+
+_draw_slot: list[tuple] = []  # at most one (key, (short, long) draws, sojourn buffers)
 
 
 def _draw_key(seed, config: TrafficConfig, slot_aligned: bool,
@@ -419,23 +440,29 @@ def _draw_key(seed, config: TrafficConfig, slot_aligned: bool,
     return (seed, config, slot_aligned, exponential_service)
 
 
-def _take_draws(key: tuple | None,
-                sizes: tuple[int, int]) -> tuple[_ClassDraws, _ClassDraws] | None:
-    """The held draws if `key` made them and they reach `sizes`, else None.
+def _take_draws(key: tuple | None, sizes: tuple[int, int]):
+    """Empty the slot and return (draws, spare draws, spare sojourns): the
+    held draws if `key`, not None, made them and they reach `sizes`, else
+    None; then each class's held draw if it has room for `sizes`, and the
+    held sojourn buffers, which the caller may write into (None for each
+    that is not held).
 
-    The slot is emptied either way, so that unfit draws are freed before
-    anything is drawn. A longer draw starts with the shorter one, and a pass
-    never reads past the first arrival it has not taken in, so longer draws
-    give the same results. Taking and filling the slot are each one list
-    operation, atomic: threads racing for it cost at most one extra draw.
+    A longer draw starts with the shorter one, and a pass never reads past
+    the first arrival it has not taken in, so longer draws give the same
+    results. Taking and filling the slot are each one list operation,
+    atomic, so what a run takes no other run can read or write: threads
+    racing for it cost at most one extra draw.
     """
     try:
-        held_key, draws = _draw_slot.pop()
+        held_key, draws, sojourns = _draw_slot.pop()
     except IndexError:
-        return None
-    if held_key != key or any(0 <= d.limit < n for d, n in zip(draws, sizes)):
-        return None
-    return draws
+        return None, (None, None), (None, None)
+    if key is not None and held_key == key and not any(
+            0 <= d.limit < n for d, n in zip(draws, sizes)):
+        return draws, draws, sojourns
+    # arrays without room for this run's draws are freed before it draws
+    return None, tuple(d if len(_owner(d.arrivals)) > n else None
+                       for d, n in zip(draws, sizes)), sojourns
 
 
 class _Schedule:
@@ -443,15 +470,16 @@ class _Schedule:
 
     Each is sized for the most the loop can write into it: a class's
     sojourns are bounded by its draws and by the window, records by the
-    horizon.
+    horizon. The sojourns go into the `spare` pair of arrays where they
+    have room.
     """
 
     def __init__(self, n_servers: int, horizon: int, warmup: int,
-                 short: _ClassDraws, long_: _ClassDraws, collect: bool):
+                 short: _ClassDraws, long_: _ClassDraws, collect: bool, spare: tuple):
         window = horizon - warmup
         self.busy = np.zeros(n_servers)
-        self.soj_s = np.empty(min(max(short.limit, 0), window))
-        self.soj_l = np.empty(min(max(long_.limit, 0), window))
+        self.soj_s, self.soj_l = (_room(held, min(max(d.limit, 0), window))
+                                  for held, d in zip(spare, (short, long_)))
         self.acc = np.zeros(3)
         self.cnt = np.zeros(4, dtype=np.int64)
         # per start: class (0 short, 1 long), arrival, duration, start, server

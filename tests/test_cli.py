@@ -134,7 +134,8 @@ class TestSojournSweep:
 
     def test_each_point_draws_once_for_both_topologies(self, tmp_path, monkeypatch):
         # the decoupled run at each point takes the coupled run's draws, so
-        # 9 points x 2 classes draw 18 times, not 36, and nothing stays held
+        # 9 points x 2 classes draw 18 times, not 36; the last point's draws
+        # stay held
         draws = []
 
         def counting(*args):
@@ -147,7 +148,29 @@ class TestSojournSweep:
         assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "2000",
                      "--out", str(tmp_path / "fig3.csv")]) == 0
         assert len(draws) == 18
-        assert sim._draw_slot == []
+        [(key, _, _)] = sim._draw_slot
+        assert key[0] == 12345 + 8  # the default seed of the ninth point
+
+    def test_sweep_draws_and_schedules_into_one_set_of_arrays(self, tmp_path, monkeypatch):
+        # each point draws into the arrays the previous point left, and every
+        # run writes its sojourns into the first run's buffers
+        draws, schedules = [], []
+        draw, schedule = sim._draw, sim._Schedule
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        monkeypatch.setattr(sim, "_draw", lambda *args: draws.append(draw(*args)) or draws[-1])
+        monkeypatch.setattr(sim, "_Schedule",
+                            lambda *args: schedules.append(schedule(*args)) or schedules[-1])
+        assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "20000",
+                     "--out", str(tmp_path / "fig3.csv")]) == 0
+        assert len(draws) == len(schedules) == 18
+        for first, *later in (draws[0::2], draws[1::2]):  # short, long
+            for d in later:
+                assert np.shares_memory(d.arrivals, first.arrivals)
+                assert np.shares_memory(d.services, first.services)
+        first, *later = schedules
+        for s in later:
+            assert np.shares_memory(s.soj_s, first.soj_s)
+            assert np.shares_memory(s.soj_l, first.soj_l)
 
     def test_longer_held_draws_are_taken(self, tmp_path, monkeypatch):
         # drawing 1.01x of each class's share, one point's coupled run runs

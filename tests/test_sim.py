@@ -15,6 +15,7 @@ import math
 import re
 import shutil
 import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -792,11 +793,19 @@ def small_initial_draws(factor):
     return lambda horizon, share: max(1, int(horizon * share * factor))
 
 
+def poison(array):
+    """Fill `array` with NaN, keeping whether it refuses writes."""
+    writeable = array.flags.writeable
+    array.setflags(write=True)
+    array.fill(math.nan)
+    array.setflags(write=writeable)
+
+
 class TestSharedDraws:
-    """A run that drew leaves its draws to the next run(), which schedules
-    them when its seed, config and service mode made them and they are at
-    least its own sizes. Every run must equal a run with nothing held, bit
-    for bit."""
+    """A run leaves its draws and sojourn buffers to the next run(), which
+    schedules the draws when its seed, config and service mode made them and
+    they are at least its own sizes, and otherwise writes into them. Every
+    run must equal a run with nothing held, bit for bit."""
 
     @staticmethod
     def fresh(tmp, name, **kwargs):
@@ -836,18 +845,79 @@ class TestSharedDraws:
         assert np.array_equal(per_server.services, doubled.services)
 
     def test_draws_refuse_writes_and_outputs_copy_them(self, tmp_path, monkeypatch):
-        # the next run schedules these very arrays: nothing may write them,
-        # and nothing a run returns may view them
+        # the next run schedules these very arrays or writes into them:
+        # nothing else may write the draws, and nothing a run returns may
+        # view what it leaves held; seed 24 draws into seed 23's arrays
         monkeypatch.setattr(sim, "_draw_slot", [])
-        summary = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=23,
-                      keep_packets=True, trace_path=str(tmp_path / "t.csv"))
-        [(_, draws)] = sim._draw_slot
-        arrays = [array for d in draws for array in (d.arrivals, d.services)]
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
-        assert not any(np.shares_memory(column, array)
-                       for column in summary.packets._columns() for array in arrays)
+        held = []
+        for seed in (23, 24):
+            summary = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=seed,
+                          keep_packets=True, trace_path=str(tmp_path / "t.csv"))
+            [(_, draws, sojourns)] = sim._draw_slot
+            arrays = [array for d in draws for array in (d.arrivals, d.services)]
+            for array in arrays + [sim._owner(array) for array in arrays]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+            assert not any(np.shares_memory(column, array)
+                           for column in summary.packets._columns()
+                           for array in [*arrays, *sojourns])
+            held.append([*arrays, *sojourns])
+        assert all(np.shares_memory(a, b) for a, b in zip(*held))
+
+    def test_draws_are_handed_on_after_the_trace_reads_them(self, tmp_path, monkeypatch):
+        # a run that handed its draws on before writing its trace would read
+        # them while the next run may write them
+        kernel = sim._kernel()
+
+        def checking(*args):
+            assert sim._draw_slot == []
+            return kernel.write_trace(*args)
+
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        monkeypatch.setattr(sim, "_kernel", lambda: kernel._replace(write_trace=checking))
+        for seed in (3, 3, 4):  # drawn, taken, drawn into held arrays
+            run(fig3_config(0.7), Topology.DECOUPLED, 2_000, seed=seed,
+                trace_path=str(tmp_path / "t.csv"))
+            assert len(sim._draw_slot) == 1
+
+    def test_runs_without_a_seed_never_take_held_draws(self, monkeypatch):
+        # seed None draws fresh entropy: no run may schedule another's draws
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        draws, draw = [], sim._draw
+        monkeypatch.setattr(sim, "_draw", lambda *args: draws.append(args) or draw(*args))
+        summaries = [run(fig3_config(0.7), Topology.COUPLED, 2_000, seed=None,
+                         keep_packets=True) for _ in range(2)]
+        assert len(draws) == 4
+        assert summaries[0].packets != summaries[1].packets
+
+    @pytest.mark.parametrize("loop", ["c", "py"])
+    @pytest.mark.parametrize("mode", ["aligned", "exponential"])
+    @settings(max_examples=25, deadline=None)
+    @given(small_runs(), small_runs(), st.booleans(), st.sampled_from([None, 0.5, 1.0]))
+    def test_poisoned_held_buffers_change_nothing(self, tmp_path_factory, loop, mode,
+                                                  first, second, same_key, factor):
+        # a run writes every held element it reads: NaN in the held
+        # sojourns, and in the draws unless the next run may schedule them,
+        # leaves its results those of a run with nothing held
+        kernel = compiled_kernel() if loop == "c" else PY_KERNEL
+        tmp = tmp_path_factory.mktemp("poison")
+        for job in (first, second):
+            job.update(slot_aligned=mode == "aligned", exponential_service=mode == "exponential")
+        if same_key:
+            second.update(config=first["config"], seed=first["seed"])
+        draws = sim._initial_draws if factor is None else small_initial_draws(factor)
+        with mock.patch.object(sim, "_initial_draws", draws):
+            with mock.patch.object(sim, "_draw_slot", []):
+                expected = run_on(kernel, tmp / "fresh.csv", **second)
+            with mock.patch.object(sim, "_draw_slot", []):
+                run_on(kernel, tmp / "first.csv", **first)
+                [(key, held_draws, held)] = sim._draw_slot
+                options = (second["config"], second["slot_aligned"], second["exponential_service"])
+                if key != sim._draw_key(second["seed"], *options):
+                    held += tuple(a for d in held_draws for a in (d.arrivals, d.services))
+                for array in held:
+                    poison(sim._owner(array))
+                assert run_on(kernel, tmp / "second.csv", **second) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(small_runs())
@@ -873,6 +943,36 @@ class TestSharedDraws:
                 t.join()
         for order, got in zip(orders, results):
             assert got == [expected[topo] for topo in order]
+
+    def test_threads_drawing_into_each_others_arrays_match_serial_runs(self, tmp_path):
+        # more threads than cores, switching often, each run on another key
+        # than the last, so that runs draw into arrays another thread left
+        # while the compiled writer reads its own without the interpreter lock
+        jobs = [dict(config=fig3_config(0.8), topology=topo, horizon=3_000, seed=seed)
+                for seed in range(3) for topo in Topology]
+        expected = [self.fresh(tmp_path, f"fresh-{j}", **job) for j, job in enumerate(jobs)]
+        results = [[] for _ in range(4)]
+
+        def work(k):
+            for i in range(2 * len(jobs)):
+                j = (i + k) % len(jobs)
+                results[k].append((j, traced_run(tmp_path / f"t{k}-{i}.csv", **jobs[j])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(sim, "_draw_slot", []):
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert len(got) == 2 * len(jobs)
+            assert all(result == expected[j] for j, result in got)
 
     def test_draws_that_run_short_are_drawn_again(self, tmp_path, monkeypatch):
         # with 2431 long arrivals drawn, the coupled run (seed 0) finishes
