@@ -92,13 +92,13 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
         if (hs == ns && hl == nl) {
             double a = (arr_s[ns] < arr_l[nl] ? arr_s[ns] : arr_l[nl]) * per_server;
             double avail = aligned ? ceil(a) : a;
-            if (avail > t)
+            if (!(avail <= t)) /* a NaN arrival makes t NaN, which stalls below */
                 t = avail;
         }
         /* traffic so sparse that time left the exact range: a service would
          * not advance the clock, and at +inf the scans below would pass the
-         * sentinels */
-        if (t >= TDDQ_EXACT_SLOTS)
+         * sentinels; a NaN clock would never move */
+        if (!(t < TDDQ_EXACT_SLOTS))
             return TDDQ_STALLED;
 
         while (arr_s[ns] * per_server <= t)

@@ -2,10 +2,11 @@
 
 The single-server results are the two-class non-preemptive Pollaczek-Khinchine
 means plus a half-slot frame-alignment term. The two-server results combine
-the Kimura GI/G/s mean-wait approximation (on the aggregate service mixture)
-with the Bondi observation that the priority/FCFS wait ratio carries over
-from one server to several. The residual-time model gives the coupled vs
-decoupled (min of two servers) CDF and the resulting two-way cycle time.
+Kimura's GI/G/s mean-wait approximation, written out at s = 2 for the
+aggregate service mixture (no general-s function is kept), with the Bondi
+observation that the priority/FCFS wait ratio carries over from one server
+to several. The residual-time model gives the coupled vs decoupled (min of
+two servers) CDF and the resulting two-way cycle time.
 """
 
 from __future__ import annotations
@@ -15,19 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traffic import (
-    SaturationError,
-    TrafficConfig,
-    long_service_moments,
-    short_service_moments,
-)
+from .traffic import TrafficConfig, long_service_moments
 
 __all__ = [
     "SojournPrediction",
     "ResidualModel",
     "mg1_priority_sojourn",
     "mg1_priority_sojourn_slotted",
-    "kimura_wait",
     "mg2_priority_sojourn",
     "residual_cdf",
     "cycle_time_stats",
@@ -64,11 +59,11 @@ def _moments(config: TrafficConfig):
     rho and rho_S use `utilization`'s expressions; its saturation check is
     left out, since a constructed TrafficConfig has already passed it.
     """
-    e_s, e_s2 = short_service_moments(config)
+    e_s = config.slot
     e_l, e_l2 = long_service_moments(config.channel, config.table)
     rho_s = config.lambda_short * e_s
     rho = rho_s + config.lambda_long * e_l
-    return e_s, e_s2, e_l, e_l2, rho, rho_s
+    return e_s, e_s * e_s, e_l, e_l2, rho, rho_s
 
 
 def mg1_priority_sojourn(config: TrafficConfig) -> SojournPrediction:
@@ -130,36 +125,18 @@ def mg1_priority_sojourn_slotted(config: TrafficConfig) -> SojournPrediction:
     )
 
 
-def kimura_wait(s: int, rho: float, mean_service: float, scv: float) -> float:
-    """Approximate GI/G/s mean queueing wait.
-
-    (1 + C^2)/2 * rho^(sqrt(2(s+1)) - 1) / (s * mu * (1 - rho)) with
-    1/mu = mean_service and C^2 the squared coefficient of variation of the
-    service time. Exact for M/M/1; at s=1 it reduces algebraically to the
-    Pollaczek-Khinchine wait.
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if rho >= 1.0:
-        raise SaturationError(f"utilization {rho:.6g} >= 1")
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    if scv < 0:
-        raise ValueError(f"scv must be >= 0, got {scv}")
-    if rho == 0.0:
-        return 0.0
-    exponent = math.sqrt(2.0 * (s + 1)) - 1.0
-    return (1.0 + scv) / 2.0 * rho**exponent * mean_service / (s * (1.0 - rho))
-
-
 def mg2_priority_sojourn(config: TrafficConfig) -> SojournPrediction:
     """Mean sojourn in the decoupled (two-server) system, approximated.
 
     The two queues feed both servers; doubling the traffic over two servers
-    keeps the per-server utilization of `config`. FCFS wait from the Kimura
-    s=2 formula applied to the aggregate short/long service mixture, then the
-    Bondi ratio maps it to the two priority classes:
-    short x (1-rho)/(1-rho_S), long x 1/(1-rho_S).
+    keeps the per-server utilization of `config`. The FCFS wait is Kimura's
+    GI/G/s mean-wait approximation at s = 2,
+
+        W = (1 + C^2)/2 * rho^(sqrt(6) - 1) * E[S] / (2 (1 - rho)),
+
+    with E[S] and C^2 the mean and squared coefficient of variation of the
+    aggregate short/long service mixture; the Bondi ratio then maps it to
+    the two priority classes: short x (1-rho)/(1-rho_S), long x 1/(1-rho_S).
     """
     e_s, e_s2, e_l, e_l2, rho, rho_s = _moments(config)
     lam = config.lambda_short + config.lambda_long
@@ -168,7 +145,7 @@ def mg2_priority_sojourn(config: TrafficConfig) -> SojournPrediction:
     mix_mean = (config.lambda_short * e_s + config.lambda_long * e_l) / lam
     mix_second = (config.lambda_short * e_s2 + config.lambda_long * e_l2) / lam
     scv = mix_second / mix_mean**2 - 1.0
-    wait_fcfs = kimura_wait(2, rho, mix_mean, scv)
+    wait_fcfs = (1.0 + scv) / 2.0 * rho**(math.sqrt(6.0) - 1.0) * mix_mean / (2 * (1.0 - rho))
     return SojournPrediction(
         wait_short=wait_fcfs * (1.0 - rho) / (1.0 - rho_s),
         wait_long=wait_fcfs / (1.0 - rho_s),

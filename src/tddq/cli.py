@@ -42,7 +42,6 @@ from .traffic import (
     load_scenario,
     long_service_moments,
     region_probabilities,
-    short_service_moments,
 )
 
 __all__ = [
@@ -211,11 +210,16 @@ def _check_stability(s: Scenario) -> tuple[bool, str]:
     return True, f"{len(s.rho_list)} load points stable"
 
 
-_MM1_TOL = 0.02
+_MM1_HALF_WIDTHS = 2.0  # ~4 standard errors of the batch-means mean
 _LITTLE_TOL = 0.01
 
 
 def _check_mm1(args: argparse.Namespace) -> tuple[bool, str]:
+    """M/M/1 mean sojourn within _MM1_HALF_WIDTHS of the run's ci95 half widths of 2.0.
+
+    The bound follows the run length, as the busy check's does; a NaN ci95
+    (too few sojourns for the batch means) fails.
+    """
     table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(1.0,))
     config = TrafficConfig(
         lambda_short=0.5, lambda_long=0.0, mu_short=1.0,
@@ -223,8 +227,11 @@ def _check_mm1(args: argparse.Namespace) -> tuple[bool, str]:
     )
     summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed,
                   slot_aligned=False, exponential_service=True)
-    rel = abs(summary.short.mean - 2.0) / 2.0
-    return rel <= _MM1_TOL, f"mean sojourn {summary.short.mean:.4f} vs 2.0 (rel {rel:.3%})"
+    mean, ci95 = summary.short.mean, summary.short.ci95
+    z = (mean - 2.0) / ci95  # in ci95 half widths; NaN fails the bound
+    return abs(z) <= _MM1_HALF_WIDTHS, (
+        f"mean sojourn {mean:.4f} vs 2.0, ci95 {ci95:.4f}: z = {z:+.2f} half widths "
+        f"(tol {_MM1_HALF_WIDTHS:g})")
 
 
 def _check_conservation(s: Scenario, args: argparse.Namespace) -> tuple[bool, str]:
@@ -242,7 +249,7 @@ def _check_conservation(s: Scenario, args: argparse.Namespace) -> tuple[bool, st
     summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed)
     little = summary.little_residual
     busy_err = abs(summary.busy_fraction[0] - rho)
-    work_rate_var = (config.lambda_short * short_service_moments(config)[1]
+    work_rate_var = (config.lambda_short * (config.slot * config.slot)
                      + config.lambda_long * long_service_moments(config.channel, config.table)[1])
     span = summary.measurement_time
     busy_tol = 4.0 * math.sqrt(work_rate_var / span) if span > 0 else math.nan

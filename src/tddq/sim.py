@@ -598,9 +598,9 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
         if hs == ns and hl == nl:
             a = arr_s[ns] if arr_s[ns] < arr_l[nl] else arr_l[nl]
             avail = float(ceil(a)) if aligned and a < inf else a
-            if avail > t:
+            if not avail <= t:  # a NaN arrival makes t NaN, which stalls below
                 t = avail
-        if t >= exact_slots:
+        if not t < exact_slots:
             return _STALLED
         while arr_s[ns] <= t:
             ns += 1

@@ -24,9 +24,7 @@ __all__ = [
     "default_scenario",
     "region_probabilities",
     "long_service_moments",
-    "short_service_moments",
     "utilization",
-    "solve_arrival_rates",
     "sample_long_services",
     "parse_scenario",
     "load_scenario",
@@ -110,7 +108,7 @@ class RateAdaptationTable:
     @classmethod
     def from_tti_durations(
         cls,
-        inner_thresholds_db: list[float] | tuple[float, ...],
+        thresholds_db: list[float] | tuple[float, ...],
         durations: list[float] | tuple[float, ...],
     ) -> "RateAdaptationTable":
         """Build from the interior thresholds in dB (0 and +inf are implied)
@@ -122,17 +120,12 @@ class RateAdaptationTable:
         if not all(0.0 < d < math.inf for d in durations):
             raise ValueError(
                 f"long TTI durations must be positive and finite: {tuple(durations)}")
-        inner = tuple(_db_to_linear(t, "thresholds_db") for t in inner_thresholds_db)
+        inner = tuple(_db_to_linear(t, "thresholds_db") for t in thresholds_db)
         return cls(thresholds=(0.0, *inner, math.inf), rates=tuple(1.0 / d for d in durations))
 
     @property
     def durations(self) -> tuple[float, ...]:
         return tuple(1.0 / r for r in self.rates)
-
-    @property
-    def inner_thresholds(self) -> tuple[float, ...]:
-        """Finite region boundaries, i.e. thresholds without the 0/+inf ends."""
-        return self.thresholds[1:-1]
 
 
 def region_probabilities(channel: ChannelModel, table: RateAdaptationTable) -> np.ndarray:
@@ -168,11 +161,6 @@ def _check_mu_short(mu_short: float) -> None:
         raise ValueError(f"mu_short must be positive and finite, got {mu_short}")
     if 1.0 / mu_short == math.inf:
         raise ValueError(f"mu_short {mu_short} makes the slot 1/mu_short overflow")
-
-
-def _check_lambda_ratio(ratio: float) -> None:
-    if not 0.0 <= ratio < math.inf:
-        raise ValueError(f"lambda_ratio must be finite and >= 0, got {ratio}")
 
 
 def _check_slot_alignment(table: RateAdaptationTable, slot: float) -> None:
@@ -216,46 +204,19 @@ class TrafficConfig:
         return 1.0 / self.mu_short
 
 
-def short_service_moments(config: TrafficConfig) -> tuple[float, float]:
-    """Moments of the deterministic short-packet service time."""
-    s = 1.0 / config.mu_short
-    return s, s * s
-
-
 def utilization(config: TrafficConfig) -> tuple[float, float, float]:
     """Per-server utilization split (rho, rho_short, rho_long).
 
     Raises SaturationError when rho >= 1; stable callers never see that from
     a constructed TrafficConfig, which validates at build time.
     """
-    e_s, _ = short_service_moments(config)
     e_l, _ = long_service_moments(config.channel, config.table)
-    rho_s = config.lambda_short * e_s
+    rho_s = config.lambda_short * config.slot
     rho_l = config.lambda_long * e_l
     rho = rho_s + rho_l
     if rho >= 1.0:
         raise SaturationError(f"utilization {rho:.6g} >= 1")
     return rho, rho_s, rho_l
-
-
-def solve_arrival_rates(
-    target_rho: float,
-    ratio: float,
-    channel: ChannelModel,
-    table: RateAdaptationTable,
-    mu_short: float,
-) -> tuple[float, float]:
-    """Arrival rates hitting a target utilization with lambda_long = ratio * lambda_short.
-
-    Inverts rho = lambda_long*E[S_L] + lambda_short*E[S_S] for the pair.
-    """
-    if not (0.0 < target_rho < 1.0):
-        raise SaturationError(f"target utilization must lie in (0, 1), got {target_rho}")
-    _check_lambda_ratio(ratio)
-    _check_mu_short(mu_short)
-    e_l, _ = long_service_moments(channel, table)
-    lam_s = target_rho / (ratio * e_l + 1.0 / mu_short)
-    return lam_s, ratio * lam_s
 
 
 def sample_long_services(
@@ -275,7 +236,7 @@ def sample_long_services(
     snr = rng.standard_exponential(n)
     snr *= channel.mean_snr
     idx = np.zeros(n, np.intp)
-    for g in table.inner_thresholds:
+    for g in table.thresholds[1:-1]:
         idx += snr > g
     return np.asarray(table.durations).take(idx)
 
@@ -311,17 +272,23 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _check_mu_short(self.mu_short)
-        _check_lambda_ratio(self.lambda_ratio)
+        if not 0.0 <= self.lambda_ratio < math.inf:
+            raise ValueError(f"lambda_ratio must be finite and >= 0, got {self.lambda_ratio}")
         _check_slot_alignment(self.table, 1.0 / self.mu_short)
 
     def config_for(self, rho: float) -> TrafficConfig:
-        """TrafficConfig at one utilization point of this scenario."""
-        lam_s, lam_l = solve_arrival_rates(
-            rho, self.lambda_ratio, self.channel, self.table, self.mu_short
-        )
+        """TrafficConfig at one utilization point of this scenario.
+
+        Inverts rho = lambda_long*E[S_L] + lambda_short*E[S_S] for the pair
+        with lambda_long = lambda_ratio * lambda_short.
+        """
+        if not (0.0 < rho < 1.0):
+            raise SaturationError(f"target utilization must lie in (0, 1), got {rho}")
+        e_l, _ = long_service_moments(self.channel, self.table)
+        lam_s = rho / (self.lambda_ratio * e_l + 1.0 / self.mu_short)
         return TrafficConfig(
             lambda_short=lam_s,
-            lambda_long=lam_l,
+            lambda_long=self.lambda_ratio * lam_s,
             mu_short=self.mu_short,
             channel=self.channel,
             table=self.table,

@@ -19,18 +19,16 @@ from tddq import (
     RateAdaptationTable,
     ResidualModel,
     SaturationError,
+    Scenario,
     SojournPrediction,
     TrafficConfig,
     cycle_time_stats,
     default_scenario,
-    kimura_wait,
     long_service_moments,
     mg1_priority_sojourn,
     mg1_priority_sojourn_slotted,
     mg2_priority_sojourn,
     residual_cdf,
-    short_service_moments,
-    solve_arrival_rates,
     utilization,
 )
 from tddq import analytic, traffic
@@ -55,7 +53,7 @@ def printed_waits(config):
     wait = num/denom^2 * rho^(sqrt(6)-1) * E[S_L] / (4 (1-rho_S)) for the
     short class; the long class divides by (1-rho) as well.
     """
-    e_s, e_s2 = short_service_moments(config)
+    e_s, e_s2 = config.slot, config.slot**2
     e_l, e_l2 = long_service_moments(config.channel, config.table)
     rho, rho_s, _ = utilization(config)
     num = config.lambda_long * e_l2 + config.lambda_short * e_s2
@@ -152,46 +150,60 @@ class TestMg1Slotted:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-class TestKimuraWait:
-    def test_exact_for_mm1(self):
-        # oracle: M/M/1 wait = rho/(mu(1-rho))
-        for rho in (0.1, 0.3, 0.5, 0.7, 0.9):
-            assert kimura_wait(1, rho, 1.0, 1.0) == pytest.approx(
-                rho / (1.0 - rho), rel=1e-12
-            )
+@st.composite
+def scenario_configs(draw):
+    """Configs over random loads, class mixes (short only at ratio 0), mean
+    SNRs and slot lengths, with fig3's TTIs in slots of 1/mu_short."""
+    base = default_scenario()
+    mu_short = draw(st.sampled_from([1.0, 1.3, 3.0, 7.0, 10.0]))
+    table = RateAdaptationTable(base.table.thresholds,
+                                tuple(r * mu_short for r in base.table.rates))
+    channel = ChannelModel(draw(st.floats(0.05, 50.0)))
+    ratio = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+    rho = draw(st.floats(1e-3, 0.999))
+    return Scenario(channel, table, mu_short, ratio).config_for(rho)
 
-    def test_zero_load(self):
-        assert kimura_wait(2, 0.0, 5.0, 1.3) == 0.0
+
+class TestKimuraWait:
+    """The FCFS wait inside mg2_priority_sojourn is Kimura's at s = 2."""
+
+    @given(scenario_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_long_wait_is_kimura_at_two_servers(self, config):
+        # the moments rebuilt from the rates and the table, apart from the traffic layer
+        g, m = config.table.thresholds, config.channel.mean_snr
+        p = [math.exp(-a / m) - math.exp(-b / m) for a, b in zip(g, g[1:])]
+        e_l = sum(pi / r for pi, r in zip(p, config.table.rates))
+        e_l2 = sum(pi / r**2 for pi, r in zip(p, config.table.rates))
+        e_s = 1.0 / config.mu_short
+        lam_s, lam_l = config.lambda_short, config.lambda_long
+        rho_s = lam_s * e_s
+        rho = rho_s + lam_l * e_l
+        mix_mean = (lam_s * e_s + lam_l * e_l) / (lam_s + lam_l)
+        mix_second = (lam_s * e_s**2 + lam_l * e_l2) / (lam_s + lam_l)
+        scv = mix_second / mix_mean**2 - 1.0
+        wait = (1.0 + scv) / 2.0 * rho ** (SQRT6 - 1.0) * mix_mean / (2.0 * (1.0 - rho))
+        got = mg2_priority_sojourn(config)
+        assert got.wait_long * (1.0 - rho_s) == pytest.approx(wait, rel=1e-12)
+
+    def test_short_only_load_with_rounded_negative_scv(self):
+        # E[S^2]/E[S]^2 - 1 rounds to -2.2e-16 for the deterministic service
+        # here; the wait is M/D/2's, half of M/M/2's
+        table = RateAdaptationTable.from_tti_durations((0.0, 10.0),
+                                                       (30 / 1.3, 20 / 1.3, 4 / 1.3))
+        rho = 0.7167340360091442
+        config = Scenario(ChannelModel.from_db(5.0), table, 1.3, 0.0).config_for(rho)
+        m_m_2 = rho ** (SQRT6 - 1.0) / 1.3 / (2.0 * (1.0 - rho))
+        assert mg2_priority_sojourn(config).wait_short == pytest.approx(0.5 * m_m_2, rel=1e-12)
 
     def test_two_servers_frozen_value(self):
-        # oracle: 0.5^(sqrt(6)-1) / (2*1*0.5) = 0.3661509025661124
-        assert kimura_wait(2, 0.5, 1.0, 1.0) == pytest.approx(
-            0.3661509025661124, rel=1e-12
-        )
-
-    @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.1, 20.0))
-    @settings(max_examples=80, deadline=None)
-    def test_reduces_to_pk_at_one_server(self, rho, weight, e_l):
-        """At s=1 the formula collapses to lam*E[S^2]/(2(1-rho)) exactly."""
-        lam_s = weight
-        lam_l = 1.0 - weight
-        mix_mean = (lam_s * 1.0 + lam_l * e_l) / (lam_s + lam_l)
-        mix_second = (lam_s * 1.0 + lam_l * e_l**2 * 2.0) / (lam_s + lam_l)
-        scv = mix_second / mix_mean**2 - 1.0
-        lam = rho / mix_mean  # total rate hitting the target utilization
-        got = kimura_wait(1, rho, mix_mean, scv)
-        want = lam * mix_second / (2.0 * (1.0 - rho))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_saturation_and_bad_args(self):
-        with pytest.raises(SaturationError):
-            kimura_wait(1, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            kimura_wait(0, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            kimura_wait(1, 0.5, 1.0, -0.5)
-        with pytest.raises(ValueError):
-            kimura_wait(1, -0.1, 1.0, 1.0)
+        # frozen doubles: a rewrite of the wait must keep them bit for bit
+        for rho, waits in ((0.5, (1.068645809734235, 2.13729161946847)),
+                           (0.9, (2.527924574896887, 25.27924574896885))):
+            p = mg2_priority_sojourn(fig3_config(rho))
+            assert (p.wait_short, p.wait_long) == waits
+            assert (p.service_short, p.service_long, p.alignment) == (
+                1.0, 11.016899172464235, 0.5)
 
 
 class TestMg2PrioritySojourn:
@@ -539,8 +551,7 @@ class TestMomentLookups:
         base = fig3_config(0.5)
         table = RateAdaptationTable(base.table.thresholds,
                                     tuple(r * mu_short for r in base.table.rates))
-        lam_s, lam_l = solve_arrival_rates(rho, ratio, base.channel, table, mu_short)
-        config = TrafficConfig(lam_s, lam_l, mu_short, base.channel, table)
+        config = Scenario(base.channel, table, mu_short, ratio).config_for(rho)
         rho_got, rho_s_got = analytic._moments(config)[4:]
         assert (rho_got, rho_s_got) == utilization(config)[:2]
 

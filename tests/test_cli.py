@@ -398,11 +398,35 @@ class TestValidate:
         assert report.endswith("all 5 checks passed\n")
 
     def test_short_horizon_passes(self, capsys):
-        # busy fraction 0.0123 off rho here: inside 4 sigma of a 20 000-departure run
-        rc = main(["validate", "--horizon", "20000", "--seed", "11"])
+        # the default seed, as CI runs it: the M/M/1 mean reads 2.0516 here,
+        # 2.6% off 2.0 but 0.47 ci95 half widths of a 20 000-departure run
+        rc = main(["validate", "--horizon", "20000"])
         out = capsys.readouterr().out
+        assert re.search(r"^mm1-sanity\s+PASS .* z = \+0\.47 ", out, re.MULTILINE)
         assert re.search(r"^littles-law-and-busy\s+PASS", out, re.MULTILINE)
         assert rc == 0
+
+    @pytest.mark.parametrize("horizon", ["20000", "200000"])
+    def test_slower_exponential_service_fails(self, monkeypatch, capsys, horizon):
+        # service mean x1.1: the M/M/1 mean becomes 1.1/(1 - 0.55) = 2.44
+        exponential = sim._exponential_services
+        monkeypatch.setattr(sim, "_exponential_services", lambda mean: exponential(mean * 1.1))
+        monkeypatch.setattr(sim, "_draw_slot", [])  # no draws made without the change
+        rc = main(["validate", "--horizon", horizon])
+        out = capsys.readouterr().out
+        assert re.search(r"^mm1-sanity\s+FAIL", out, re.MULTILINE)
+        assert rc == 1
+
+    def test_nan_ci_fails(self, monkeypatch, capsys):
+        def without_ci(*args, run=cli.run, **kwargs):
+            summary = run(*args, **kwargs)
+            return replace(summary, short=replace(summary.short, ci95=math.nan))
+
+        monkeypatch.setattr(cli, "run", without_ci)
+        rc = main(["validate", "--horizon", "20000"])
+        out = capsys.readouterr().out
+        assert re.search(r"^mm1-sanity\s+FAIL .*ci95 nan", out, re.MULTILINE)
+        assert rc == 1
 
     def test_shifted_busy_fraction_fails(self, monkeypatch, capsys):
         def shifted(*args, run=cli.run, **kwargs):
@@ -416,7 +440,7 @@ class TestValidate:
         assert rc == 1
 
     def test_tampered_tolerance_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_MM1_TOL", 1e-9)
+        monkeypatch.setattr(cli, "_MM1_HALF_WIDTHS", 1e-9)
         rc = main(["validate", "--horizon", "60000"])
         out = capsys.readouterr().out
         assert rc == 1

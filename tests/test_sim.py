@@ -12,6 +12,7 @@ import csv
 import gc
 import hashlib
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,12 +33,12 @@ from tddq import (
     ChannelModel,
     Packet,
     RateAdaptationTable,
+    Scenario,
     Topology,
     TrafficConfig,
     default_scenario,
     mg1_priority_sojourn_slotted,
     run,
-    solve_arrival_rates,
     sweep,
 )
 from tddq import sim
@@ -275,7 +277,7 @@ class TestDeterminism:
 def searchsorted_long_services(channel, table, rng, n):
     """The binary-search lookup, the reference for sample_long_services."""
     snr = rng.standard_exponential(n) * channel.mean_snr
-    idx = np.searchsorted(np.asarray(table.inner_thresholds), snr, side="left")
+    idx = np.searchsorted(np.asarray(table.thresholds[1:-1]), snr, side="left")
     return np.asarray(table.durations)[idx]
 
 
@@ -607,8 +609,7 @@ def small_runs(draw):
     table = RateAdaptationTable.from_tti_durations(inner_db, [k / mu_short for k in slots])
     channel = ChannelModel.from_db(draw(st.integers(-5, 20)))
     rho = draw(st.floats(0.05, 0.95))
-    lam_s, lam_l = solve_arrival_rates(rho, draw(st.floats(0.0, 4.0)), channel, table, mu_short)
-    config = TrafficConfig(lam_s, lam_l, mu_short, channel, table)
+    config = Scenario(channel, table, mu_short, draw(st.floats(0.0, 4.0))).config_for(rho)
     mode = draw(st.sampled_from(["aligned", "unaligned", "exponential"]))
     horizon = draw(st.integers(1, 300))
     return dict(
@@ -756,6 +757,35 @@ class TestCompiledKernel:
         monkeypatch.setattr(sim, "_kernel", lambda: kernel)
         with pytest.raises(RuntimeError, match="work conservation"):
             run(MM1_CONFIG, Topology.COUPLED, 100, seed=1)
+
+    @pytest.mark.parametrize("loop", ["c", "py"])
+    def test_nan_arrival_stalls_instead_of_spinning(self, loop):
+        # with both queues empty a NaN next arrival makes the clock NaN; the
+        # loop must stop there. A child process, so that a loop that spins
+        # fails on the timeout instead of hanging the suite.
+        schedule = "sim._kernel().schedule" if loop == "c" else "sim._schedule_py"
+        code = f"""if True:
+            import math, numpy as np
+            from tddq import sim
+            schedule = {schedule}
+            if {loop!r} == "c" and schedule is sim._schedule_py:
+                raise SystemExit("no working C compiler")
+            never = sim._ClassDraws(np.array([math.inf]), np.array([math.inf]), -1)
+            nan_first = sim._ClassDraws(np.array([math.nan, 5.0, math.inf]),
+                                        np.array([2.0, 2.0, math.inf]), 2)
+            for aligned in (True, False):
+                out = sim._Schedule(1, 10, 0, never, nan_first, False, (None, None))
+                print(schedule(1, aligned, 10, 0, never, nan_first, out))
+        """
+        package = str(Path(sim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package, os.environ.get("PYTHONPATH", "")])))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=60)
+        if "no working C compiler" in result.stderr:
+            pytest.skip("no working C compiler")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [str(sim._STALLED)] * 2
 
 
 OTHER = {Topology.COUPLED: Topology.DECOUPLED, Topology.DECOUPLED: Topology.COUPLED}

@@ -17,14 +17,13 @@ from tddq import (
     ChannelModel,
     RateAdaptationTable,
     SaturationError,
+    Scenario,
     TrafficConfig,
     default_scenario,
     long_service_moments,
     parse_scenario,
     region_probabilities,
     sample_long_services,
-    short_service_moments,
-    solve_arrival_rates,
     utilization,
 )
 
@@ -256,9 +255,11 @@ class TestServiceMoments:
             table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(mu,))
             return TrafficConfig(0.0, 0.0, mu, ChannelModel(1.0), table)
 
-        assert short_service_moments(config(1.0)) == pytest.approx((1.0, 1.0))
-        assert short_service_moments(config(2.0)) == pytest.approx((0.5, 0.25))
-        assert short_service_moments(config(0.1)) == pytest.approx((10.0, 100.0))
+        # deterministic short service: its moments are the slot and its square
+        assert config(1.0).slot == 1.0
+        assert config(2.0).slot == 0.5
+        assert config(0.1).slot == pytest.approx(10.0, rel=1e-15)
+        assert analytic._moments(config(2.0))[:2] == (0.5, 0.25)
 
 
 class TestUtilization:
@@ -308,15 +309,23 @@ class TestUtilization:
             TrafficConfig(*args, ChannelModel(1.0), table)
 
 
+def fig3_rates(rho, ratio=4.0, mu_short=1.0):
+    """(lambda_short, lambda_long) of fig3's channel and table at `rho`."""
+    config = Scenario(fig3_channel(), fig3_table(), mu_short, ratio).config_for(rho)
+    return config.lambda_short, config.lambda_long
+
+
 class TestSolveArrivalRates:
+    """Scenario.config_for solves the two arrival rates for a target load."""
+
     def test_short_only(self):
-        lam_s, lam_l = solve_arrival_rates(0.5, 0.0, fig3_channel(), fig3_table(), 1.0)
+        lam_s, lam_l = fig3_rates(0.5, 0.0)
         assert lam_s == pytest.approx(0.5, abs=1e-12)
         assert lam_l == 0.0
 
     def test_fig3_target(self):
         # oracle: lam_S = rho / (4 E[S_L] + 1)
-        lam_s, lam_l = solve_arrival_rates(0.9, 4.0, fig3_channel(), fig3_table(), 1.0)
+        lam_s, lam_l = fig3_rates(0.9)
         assert lam_s == pytest.approx(0.9 / (4.0 * E_SL_FIG3 + 1.0), rel=1e-12)
         assert lam_s == pytest.approx(0.019970002088053582, rel=1e-12)
         assert lam_l == pytest.approx(4.0 * lam_s, rel=1e-12)
@@ -329,30 +338,28 @@ class TestSolveArrivalRates:
     @given(st.floats(0.01, 0.99), st.floats(0.0, 50.0))
     @settings(max_examples=80, deadline=None)
     def test_plug_back_property(self, target, ratio):
-        channel, table = fig3_channel(), fig3_table()
-        lam_s, lam_l = solve_arrival_rates(target, ratio, channel, table, 1.0)
-        e_l, _ = long_service_moments(channel, table)
+        lam_s, lam_l = fig3_rates(target, ratio)
+        e_l, _ = long_service_moments(fig3_channel(), fig3_table())
         assert lam_l * e_l + lam_s * 1.0 == pytest.approx(target, abs=1e-12)
 
     def test_boundaries(self):
-        args = (fig3_channel(), fig3_table(), 1.0)
-        solve_arrival_rates(0.99999, 4.0, *args)  # stable, accepted
+        fig3_rates(0.99999)  # stable, accepted
         with pytest.raises(SaturationError):
-            solve_arrival_rates(1.0, 4.0, *args)
+            fig3_rates(1.0)
         with pytest.raises(SaturationError):
-            solve_arrival_rates(0.0, 4.0, *args)
+            fig3_rates(0.0)
         with pytest.raises(ValueError):
-            solve_arrival_rates(0.5, -1.0, *args)
+            fig3_rates(0.5, -1.0)
         with pytest.raises(ValueError, match="lambda_ratio"):
-            solve_arrival_rates(0.5, math.nan, *args)
+            fig3_rates(0.5, math.nan)
         with pytest.raises(ValueError, match="mu_short"):
-            solve_arrival_rates(0.5, 4.0, fig3_channel(), fig3_table(), math.inf)
+            fig3_rates(0.5, mu_short=math.inf)
 
 
 def searchsorted_long_services(channel, table, rng, n):
     """The binary-search lookup, the reference for sample_long_services."""
     snr = rng.standard_exponential(n) * channel.mean_snr
-    idx = np.searchsorted(np.asarray(table.inner_thresholds), snr, side="left")
+    idx = np.searchsorted(np.asarray(table.thresholds[1:-1]), snr, side="left")
     return np.asarray(table.durations)[idx]
 
 
@@ -371,7 +378,7 @@ class TestSampleLongService:
     @settings(max_examples=300, deadline=None)
     @given(tables(), st.lists(st.floats(0.0, 200.0), max_size=40))
     def test_lookup_equals_binary_search(self, table, extra):
-        inner = np.asarray(table.inner_thresholds)
+        inner = np.asarray(table.thresholds[1:-1])
         snr = np.concatenate([inner, np.nextafter(inner, -np.inf),
                               np.nextafter(inner, np.inf), [0.0], extra])
         got = sample_long_services(ChannelModel(1.0), table, FixedDraws(snr), len(snr))
