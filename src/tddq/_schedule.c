@@ -45,7 +45,11 @@
  * Its outputs: buf, which holds at least TDDQ_ROW_BYTES per row, gets one
  * CSV row (time,event,class,server,queue_len_short,queue_len_long, then
  * CRLF) per event, the time in printf's "%.9g" after scaling and the server
- * empty on arrivals. A row adds 1 to its class's queue count on arrival,
+ * empty on arrivals. A whole-number time below 1e9 prints as its integer,
+ * another in fixed notation (1e-4 to 1e9) from one 128-bit multiply and
+ * shift, and any other through snprintf. Digits come two at a time from a
+ * table of the pairs 00 to 99; a one-digit count or server is written
+ * directly. A row adds 1 to its class's queue count on arrival,
  * takes 1 on start, and prints both counts after. The return value is the
  * bytes written, 0 once every stream is done, or -1 for a class above 1, a
  * server outside [0, n_servers), or a time below the last row's, which
@@ -196,23 +200,57 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
 
 __extension__ typedef unsigned __int128 tddq_u128;
 
-static const unsigned long long tddq_pow10[13] = {
+static const unsigned long long tddq_pow10[20] = {
     1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
     100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL,
 };
+
+/* the two digits of every number below 100: "00", "01", ..., "99" */
+static const char tddq_pairs[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* u's decimal digits, two at a time from the pair table; returns the length
+ * (at most 20) */
+static int tddq_format_u(char *p, unsigned long long u)
+{
+    int len = 1;
+    char *q;
+    while (len < 20 && u >= tddq_pow10[len])
+        len++;
+    q = p + len;
+    while (u >= 100) {
+        q -= 2;
+        memcpy(q, tddq_pairs + 2 * (u % 100), 2);
+        u /= 100;
+    }
+    if (u >= 10)
+        memcpy(q - 2, tddq_pairs + 2 * u, 2);
+    else
+        q[-1] = (char)('0' + u);
+    return len;
+}
 
 /* x as printf's "%.9g" writes it; returns the length (at most 16).
  *
- * A value whose nine digits print in fixed notation (1e-4 <= x < 1e9, and
- * not rounding up to 1e9) is formatted exactly here. With x = m / 2^s (m
- * the 53-bit significand) and 10^X <= x < 10^(X+1), its digits are
- * m * 10^(8-X) / 2^s rounded half to even: under 2^93, so one 128-bit
- * product and shift. Everything else goes to snprintf. */
+ * A whole number from 1 up to 1e9 prints as its integer's digits: every
+ * start and departure of a slot-aligned run with slot 1. Any
+ * other value whose nine digits print in fixed notation (1e-4 <= x < 1e9,
+ * and not rounding up to 1e9) is formatted exactly here too. With
+ * x = m / 2^s (m the 53-bit significand) and 10^X <= x < 10^(X+1), its
+ * digits are m * 10^(8-X) / 2^s rounded half to even: under 2^93, so one
+ * 128-bit product and shift; they are written as a leading digit and four
+ * pairs from the pair table. Everything else goes to snprintf. */
 static int tddq_format_g9(char *p, double x)
 {
+    if (x >= 1.0 && x < 1e9 && x == (double)(unsigned long long)x)
+        return tddq_format_u(p, (unsigned long long)x);
     if (x >= 1e-4 && x < 1e9) {
         int e2, X, s, i, keep, end;
-        unsigned long long m, n;
+        unsigned long long m, n, hi, lo;
         tddq_u128 prod, digits, rem, half;
         char d[9], *q = p;
 
@@ -240,11 +278,14 @@ static int tddq_format_g9(char *p, double x)
                 X++;
             }
             if (X <= 8) {
-                n = (unsigned long long)digits;
-                for (i = 8; i >= 0; i--) {
-                    d[i] = (char)('0' + n % 10);
-                    n /= 10;
-                }
+                n = (unsigned long long)digits; /* 10^8 <= n < 10^9 */
+                d[0] = (char)('0' + n / tddq_pow10[8]);
+                hi = n % tddq_pow10[8] / 10000;
+                lo = n % 10000;
+                memcpy(d + 1, tddq_pairs + 2 * (hi / 100), 2);
+                memcpy(d + 3, tddq_pairs + 2 * (hi % 100), 2);
+                memcpy(d + 5, tddq_pairs + 2 * (lo / 100), 2);
+                memcpy(d + 7, tddq_pairs + 2 * (lo % 100), 2);
                 /* drop trailing zeros of the fraction, and a bare point */
                 keep = X >= 0 ? X + 1 : 0;
                 for (end = 9; end > keep && d[end - 1] == '0'; end--)
@@ -273,20 +314,19 @@ static int tddq_format_g9(char *p, double x)
     return snprintf(p, 17, "%.9g", x);
 }
 
+/* v in decimal; returns the length (at most 20). A count or server below 10
+ * is one digit, written directly. */
 static int tddq_format_ll(char *p, long long v)
 {
-    char tmp[20];
-    int n = 0, len = 0;
-    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
-    if (v < 0)
-        p[len++] = '-';
-    do {
-        tmp[n++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    while (n)
-        p[len++] = tmp[--n];
-    return len;
+    if (v >= 0 && v < 10) {
+        *p = (char)('0' + v);
+        return 1;
+    }
+    if (v < 0) { /* 0 - v in unsigned arithmetic, so LLONG_MIN is safe */
+        *p = '-';
+        return 1 + tddq_format_u(p + 1, 0ULL - (unsigned long long)v);
+    }
+    return tddq_format_u(p, (unsigned long long)v);
 }
 
 /* trace events, numbered by their rank among simultaneous events (a packet

@@ -16,12 +16,14 @@ per-server rate whatever the topology; a run that needs more arrivals draws
 again, at twice the size, from the same seeds. The boundary loop schedules
 them, reading arrival k of an n-server run as `arrivals[k] * (1.0 / n)`,
 which is exact; each start's record carries its own arrival and duration.
-Statistics, packets and the trace are then built from what the loop wrote:
-packets as one `PacketColumns` record of read-only arrays, which yields
-`Packet` rows only when iterated, and the trace as CSV rows that end in
-CRLF. The trace writer merges the arrivals, starts and departures, each
-already in time order, straight from the draws and records, and formats the
-rows (times exactly as `%.9g`) into a byte buffer a chunk at a time.
+Statistics, the trace and packets are then built from what the loop wrote.
+The trace is CSV rows that end in CRLF: the writer merges the arrivals,
+starts and departures, each already in time order, straight from the draws
+and records, and formats the rows (times exactly as `%.9g`) into a byte
+buffer a chunk at a time. Packets come after the trace's read of the
+records, as one `PacketColumns` record that yields `Packet` rows only when
+iterated: its columns are the run's own record arrays, scaled into real
+time in place, then read-only.
 
 The loop and the writer come as one `_Kernel` from one `_kernel()` call:
 `_schedule.c` compiled on first use, or, when no compiler works, the Python
@@ -314,11 +316,12 @@ def run(
     opening = t_w * n_servers
     n_arr = (n_short + n_long - int(np.searchsorted(short.arrivals, opening, "right"))
              - int(np.searchsorted(long_.arrivals, opening, "right")))
-    packets = _packet_columns(out.records, slot) if keep_packets else None
     if trace_path:
         cls, _, duration, start, server = out.records
         kernel.write_trace(trace_path, short.arrivals[:n_short], long_.arrivals[:n_long],
                            (cls, duration, start, server), n_servers, slot)
+    # after the trace's read of the records, which this scales
+    packets = _packet_columns(out.records, slot) if keep_packets else None
 
     span = t_end - t_w
     if span > 0:
@@ -674,9 +677,14 @@ _ROW_BYTES = 95  # the longest row `_schedule.c` writes, as TDDQ_ROW_BYTES there
 
 
 def _packet_columns(records: tuple, scale: float) -> PacketColumns:
+    """A run's packets from its records, in slot units, which are scaled in
+    place into real time: the records become the packets' columns, so nothing
+    may read them as slots after this."""
     cls, arrival, duration, start, server = records
-    return PacketColumns(cls, arrival * scale, duration * scale, start * scale,
-                         (start + duration) * scale, server)
+    departure = start + duration
+    for column in (arrival, duration, start, departure):
+        column *= scale
+    return PacketColumns(cls, arrival, duration, start, departure, server)
 
 
 def _write_trace(path: str, short_arrivals: np.ndarray, long_arrivals: np.ndarray,

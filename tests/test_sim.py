@@ -437,7 +437,9 @@ def g9_probes():
     """At least 10**5 seeded doubles from 1e-6 to 1e12 for "%.9g": log-uniform
     values, exact 10th-digit ties at every decimal exponent, doubles nearest
     the decimal half points (ties missed by less than an ulp), short dyadic
-    fractions, and the edges."""
+    fractions, and the edges; then whole numbers of every length up to 1e9,
+    and signed zeros and whole numbers at each power of ten, at 1e9 and at
+    2**53, with their negatives and the doubles either side of each."""
     rng = np.random.default_rng(20190427)
     parts = [10.0 ** rng.uniform(-6, 12, 40_000)]
     for k in range(14):
@@ -452,7 +454,28 @@ def g9_probes():
     parts += [halves, np.nextafter(halves, 0.0), np.nextafter(halves, np.inf)]
     parts.append(rng.integers(1, 2**30, 10_000) / 2.0 ** rng.integers(0, 40, 10_000))
     parts.append(np.array(g9_edges()))
+    parts.append(np.floor(10.0 ** rng.uniform(0, 9, 10_000)))
+    whole = [1.0, 999999999.0, 1e9, 2.0**53 - 1, 2.0**53, 2.0**53 + 2]
+    whole += [float(10**k + d) for k in range(1, 10) for d in (-1, 0, 1)]
+    whole = np.array([0.0, -0.0] + whole + [-x for x in whole])
+    parts += [whole, np.nextafter(whole, 0.0), np.nextafter(whole, np.inf)]
     return np.concatenate(parts)
+
+
+_RAMP = np.arange(1.0, 251.0)
+# trace writer inputs (short and long arrivals, records, servers) whose
+# counts and servers take more digits than `trace_inputs` draws
+WIDE_TRACES = {
+    # 250 short arrivals before any start: the short count climbs to 250
+    "count-up": (_RAMP, np.empty(0), (np.zeros(250, np.uint8), np.ones(250), _RAMP + 250,
+                                      np.zeros(250, np.int64)), 1),
+    # 250 starts and no arrival: the short count falls to -250
+    "count-down": (np.empty(0), np.empty(0), (np.zeros(250, np.uint8), np.ones(250), _RAMP,
+                                              np.zeros(250, np.int64)), 1),
+    # 12 servers, one long start on each, the last on server 11
+    "twelve-servers": (np.empty(0), 12 * _RAMP[:12], (np.ones(12, np.uint8), np.full(12, 3.5),
+                                                       _RAMP[:12], np.arange(12)), 12),
+}
 
 
 # sha256 of trace files, which every writer must keep: fig3-rho0.7 as the
@@ -514,6 +537,15 @@ class TestTrace:
             trace_writer(writer)(str(tmp / f"{writer}.csv"), *inputs, scale)
             assert (tmp / f"{writer}.csv").read_bytes() == (tmp / "ref.csv").read_bytes(), writer
 
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(WIDE_TRACES))
+    def test_writer_matches_reference_on_wide_fields(self, tmp_path, name, scale):
+        inputs = WIDE_TRACES[name]
+        reference_write_trace(str(tmp_path / "ref.csv"), *inputs, scale)
+        for writer in ("py", "c"):  # the Python writer is checked even without a compiler
+            trace_writer(writer)(str(tmp_path / f"{writer}.csv"), *inputs, scale)
+            assert (tmp_path / f"{writer}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("writer", ["c", "py"])
     @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
     def test_trace_matches_recorded_digest(self, tmp_path, monkeypatch, writer, name):
@@ -521,8 +553,13 @@ class TestTrace:
         kernel = sim._kernel()._replace(write_trace=trace_writer(writer))
         monkeypatch.setattr(sim, "_kernel", lambda: kernel)
         path = tmp_path / "trace.csv"
-        run(topology=Topology.DECOUPLED, horizon=20_000, seed=3, trace_path=str(path), **kwargs)
+        traced = run(topology=Topology.DECOUPLED, horizon=20_000, seed=3, trace_path=str(path),
+                     keep_packets=True, **kwargs)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        # packets scale the records in place, after the trace has read them
+        untraced = run(topology=Topology.DECOUPLED, horizon=20_000, seed=3, keep_packets=True,
+                       **kwargs)
+        assert traced.packets == untraced.packets
 
     def test_compiled_writer_streams(self, tmp_path, monkeypatch):
         # what the writer allocates is its row buffer, however long the trace;
