@@ -12,7 +12,7 @@ two servers) CDF and the resulting two-way cycle time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,9 +40,11 @@ class SojournPrediction:
     alignment: float  # half a slot, identical for both classes
 
     def __post_init__(self) -> None:
-        for name in ("wait_short", "wait_long", "service_short", "service_long", "alignment"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        # one chain of comparisons; NaN compares False and is accepted
+        if (self.wait_short < 0 or self.wait_long < 0 or self.service_short < 0
+                or self.service_long < 0 or self.alignment < 0):
+            name = next(f.name for f in fields(self) if getattr(self, f.name) < 0)
+            raise ValueError(f"{name} must be >= 0")
 
     @property
     def mean_short(self) -> float:
@@ -179,14 +181,15 @@ class ResidualModel:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
+        # before the samples, which are checked against it
+        if not 0.0 < self.s_long_max < math.inf:
+            raise ValueError(f"s_long_max must be positive and finite, got {self.s_long_max}")
         if self.family == "empirical":
             if not self.samples:
                 raise ValueError("empirical family needs a non-empty sample set")
             object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
             if not all(0.0 <= x <= self.s_long_max for x in self.samples):
                 raise ValueError(f"residual samples must lie in [0, s_long_max]: {self.samples}")
-        if not 0.0 < self.s_long_max < math.inf:
-            raise ValueError(f"s_long_max must be positive and finite, got {self.s_long_max}")
         if self.family in ("exponential", "truncated-exponential"):
             if self.rate is None or not 0.0 < self.rate < math.inf:
                 raise ValueError(

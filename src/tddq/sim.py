@@ -51,6 +51,7 @@ import operator
 import os
 import subprocess
 import tempfile
+import threading
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -508,11 +509,23 @@ class _Kernel(NamedTuple):
     write_trace: Callable[..., None]  # as _write_trace
 
 
-@functools.cache
+_KERNEL_LOCK = threading.Lock()
+
+
 def _kernel() -> _Kernel:
     """`_schedule.c` compiled once per process into a private temporary
     directory, or, with one RuntimeWarning when no C compiler works, the
-    Python twins."""
+    Python twins.
+
+    The lock is held across the build: `functools.cache` alone calls the
+    builder again when first calls race, which would run `cc` twice.
+    """
+    with _KERNEL_LOCK:
+        return _build_kernel()
+
+
+@functools.cache
+def _build_kernel() -> _Kernel:
     try:
         with tempfile.TemporaryDirectory(prefix="tddq-") as tmp:
             lib_path = os.path.join(tmp, "_schedule.so")
@@ -526,7 +539,7 @@ def _kernel() -> _Kernel:
         warnings.warn(
             f"cannot build the C kernel ({exc}); using the slower Python reference "
             "loop and trace writer",
-            RuntimeWarning, stacklevel=3,  # the caller of run()
+            RuntimeWarning, stacklevel=4,  # the caller of run()
         )
         return _Kernel(_schedule_py, _write_trace)
     i64, ptr = ctypes.c_longlong, ctypes.c_void_p

@@ -163,7 +163,14 @@ def _check_mu_short(mu_short: float) -> None:
         raise ValueError(f"mu_short {mu_short} makes the slot 1/mu_short overflow")
 
 
+@functools.lru_cache
 def _check_slot_alignment(table: RateAdaptationTable, slot: float) -> None:
+    """Reject a long TTI that is not a whole number of slots.
+
+    Run once per (table, slot), as the moments are: a `Scenario` and every
+    config it builds share one check. A failure is not cached, so it raises
+    again, with the same message, on every call.
+    """
     for d in table.durations:
         k = d / slot
         # k must round to at least one slot, and round(k) fails at inf

@@ -72,6 +72,20 @@ class TestSojournPrediction:
         with pytest.raises(ValueError):
             SojournPrediction(-0.1, 0.0, 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("fill", [1.0, math.nan], ids=["fill-1", "fill-nan"])
+    @pytest.mark.parametrize("position", range(5))
+    def test_names_the_first_negative_field(self, position, fill):
+        # the field at `position` and every later one are negative
+        values = [fill] * position + [-0.5] * (5 - position)
+        name = ("wait_short", "wait_long", "service_short", "service_long",
+                "alignment")[position]
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            SojournPrediction(*values)
+
+    def test_accepts_nan(self):
+        p = SojournPrediction(*[math.nan] * 5)
+        assert math.isnan(p.mean_short) and math.isnan(p.mean_long)
+
 
 class TestMg1PrioritySojourn:
     def test_short_only_hand_value(self):
@@ -422,6 +436,11 @@ class TestResidualModel:
         with pytest.raises(ValueError):
             ResidualModel("empirical", 10.0, samples=(-0.5, 1.0))
 
+    @pytest.mark.parametrize("s_long_max", [math.nan, -1.0, 0.0])
+    def test_bad_s_long_max_is_named_before_the_samples(self, s_long_max):
+        with pytest.raises(ValueError, match="s_long_max must be positive and finite"):
+            ResidualModel("empirical", s_long_max, samples=(1.0,))
+
     @pytest.mark.parametrize("make, field", [
         (lambda: ResidualModel("uniform", math.inf), "s_long_max"),
         (lambda: ResidualModel("exponential", 10.0, rate=math.inf), "rate"),
@@ -518,6 +537,55 @@ class TestCycleTime:
         with pytest.raises(ValueError, match=field):
             cycle_time_stats(ResidualModel("uniform", 10.0), s_short, t_proc, False, 1,
                              np.random.default_rng(0))
+
+
+# fig3's (mean_short, mean_long) at rho 0.1, ..., 0.9, as float.hex: a change
+# that reorders the closed forms' float operations shows here
+PINNED_MEANS = {
+    "mg1_priority_sojourn": (
+        ("0x1.0a0d2785f0271p+1", "0x1.851c5072012e5p+3"),
+        ("0x1.546ecfb9a1a48p+1", "0x1.9eed110c248a6p+3"),
+        ("0x1.9f25899283ab4p+1", "0x1.c03c6a68bec43p+3"),
+        ("0x1.ea31e7545b022p+1", "0x1.ecc9e5da9d47ep+3"),
+        ("0x1.1aca3e497e3edp+2", "0x1.15aa5735d022ep+4"),
+        ("0x1.40a6ef1b0a2dcp+2", "0x1.44ad8d81f7602p+4"),
+        ("0x1.66af513e7d59cp+2", "0x1.932ca66fcece2p+4"),
+        ("0x1.8ce3b0814a987p+2", "0x1.1830ea5957211p+5"),
+        ("0x1.b3445960a3263p+2", "0x1.021c05e0aa389p+6"),
+    ),
+    "mg1_priority_sojourn_slotted": (
+        ("0x1.03c78bc6a585ep+1", "0x1.85256c4b171e0p+3"),
+        ("0x1.47dc7003a210cp+1", "0x1.9eff532344ac4p+3"),
+        ("0x1.8c3f31672d8a2p+1", "0x1.c057dd34b24aap+3"),
+        ("0x1.d0f055d1afa52p+1", "0x1.ecee93e42b368p+3"),
+        ("0x1.0af8322b94c09p+2", "0x1.15c15126db63cp+4"),
+        ("0x1.2d9ff2a1558b6p+2", "0x1.44c92fb5e67aap+4"),
+        ("0x1.506fb10cea4efp+2", "0x1.934cf6467eefep+4"),
+        ("0x1.7367b2d0320efp+2", "0x1.18436bcaa7cb2p+5"),
+        ("0x1.96883dede7abap+2", "0x1.022674b8f50c0p+6"),
+    ),
+    "mg2_priority_sojourn": (
+        ("0x1.9a4e28dac593cp+0", "0x1.7431bceb2f3f1p+3"),
+        ("0x1.c800c0594751fp+0", "0x1.7bca8e30152bdp+3"),
+        ("0x1.00f1622882c58p+1", "0x1.87bc133099dfdp+3"),
+        ("0x1.22c3ae06ca725p+1", "0x1.99b14dfa4bb6ap+3"),
+        ("0x1.48c962c9e8720p+1", "0x1.b4ef218716400p+3"),
+        ("0x1.72902759bd58dp+1", "0x1.e02488ba385e8p+3"),
+        ("0x1.9fc5f347539f8p+1", "0x1.15825d6ec930ap+4"),
+        ("0x1.d02c9401a1476p+1", "0x1.6261149215d02p+4"),
+        ("0x1.01c98427fbf51p+2", "0x1.265e813a8373ep+5"),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", [mg1_priority_sojourn, mg1_priority_sojourn_slotted,
+                                  mg2_priority_sojourn], ids=lambda f: f.__name__)
+def test_fig3_means_are_pinned(form):
+    scenario = default_scenario()
+    got = [(p.mean_short.hex(), p.mean_long.hex())
+           for p in map(form, map(scenario.config_for, scenario.rho_list))]
+    assert scenario.rho_list == tuple(i / 10 for i in range(1, 10))
+    assert got == list(PINNED_MEANS[form.__name__])
 
 
 class TestMomentLookups:

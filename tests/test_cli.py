@@ -591,6 +591,10 @@ class TestBadInput:
          "samples"),
         (["residual-cdf", "--family", "empirical", "--empirical-samples", "1,2",
           "--s-long", "1"], "samples"),
+        (["residual-cdf", "--family", "empirical", "--empirical-samples", "1",
+          "--s-long", "nan"], "s_long_max must be positive"),
+        (["residual-cdf", "--family", "empirical", "--empirical-samples", "1",
+          "--s-long", "-1"], "s_long_max must be positive"),
         (["cycle-time", "--family", "uniform", "--s-long", "1e308"], "not finite"),
         (["cycle-time", "--family", "exponential", "--rate", "1e-307"], "not finite"),
         (["cycle-time", "--family", "empirical", "--empirical-samples", "1e308,1e308"],
@@ -599,7 +603,8 @@ class TestBadInput:
           "--s-long", "1e308"], "not finite"),
     ], ids=["cycle-empirical-nan", "cycle-t-proc-nan", "cycle-uniform-s-long-inf",
             "cycle-s-short-inf", "cycle-rate-inf", "residual-empirical-nan",
-            "residual-empirical-above-s-long", "cycle-uniform-overflow",
+            "residual-empirical-above-s-long", "residual-empirical-s-long-nan",
+            "residual-empirical-s-long-negative", "cycle-uniform-overflow",
             "cycle-exponential-overflow", "cycle-empirical-above-s-long",
             "cycle-empirical-overflow"])
     def test_nonfinite_residual_values(self, tmp_path, capsys, argv, field):

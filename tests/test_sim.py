@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -732,15 +733,15 @@ class TestCompiledKernel:
 
     @pytest.fixture
     def fresh_kernel(self):
-        sim._kernel.cache_clear()
+        sim._build_kernel.cache_clear()
         yield
-        sim._kernel.cache_clear()
+        sim._build_kernel.cache_clear()
 
     def test_no_compiler_falls_back_to_reference(self, tmp_path, monkeypatch, fresh_kernel):
         # both Python twins: the same summary, packets and trace bytes
         kwargs = dict(config=fig3_config(0.7), topology=Topology.DECOUPLED, horizon=5_000, seed=8)
         expected = run_on(compiled_kernel(), tmp_path / "c.csv", **kwargs)
-        sim._kernel.cache_clear()
+        sim._build_kernel.cache_clear()
         monkeypatch.setattr(sim, "_CC", "tddq-no-such-compiler")
         with pytest.warns(RuntimeWarning, match="Python reference") as caught:
             # called from here, so that the warning must name this file
@@ -750,6 +751,32 @@ class TestCompiledKernel:
         assert sim._kernel() == (sim._schedule_py, sim._write_trace)
         assert (first, (tmp_path / "first.csv").read_bytes()) == expected
         assert second == expected
+
+    @pytest.mark.filterwarnings("ignore:cannot build the C kernel:RuntimeWarning")
+    def test_racing_first_calls_build_once(self, monkeypatch, fresh_kernel):
+        builds, kernels = [], []
+        compile_ = subprocess.run
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            time.sleep(0.05)  # keeps the race open even when no compiler is found
+            return compile_(*args, **kwargs)
+
+        monkeypatch.setattr(sim.subprocess, "run", counting)
+        barrier = threading.Barrier(2)
+
+        def first_call():
+            barrier.wait(timeout=30)
+            kernels.append(sim._kernel())
+
+        threads = [threading.Thread(target=first_call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert len(kernels) == 2 and kernels[0] is kernels[1]
 
     def test_compiled_runs_leave_no_garbage_cycles(self, tmp_path):
         # with gc off, what a run leaves in reference cycles would pile up

@@ -290,6 +290,26 @@ class TestUtilization:
         # but it is five half-slots
         TrafficConfig(0.0, 0.1, 2.0, ChannelModel(1.0), table)
 
+    def test_misaligned_table_raises_on_every_construction(self):
+        # a failed check is not cached: each build raises it again
+        table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(0.4,))
+        messages = []
+        for _ in range(3):
+            for build in (lambda: Scenario(ChannelModel(1.0), table, 1.0, 4.0),
+                          lambda: TrafficConfig(0.0, 0.1, 1.0, ChannelModel(1.0), table)):
+                with pytest.raises(ValueError) as info:
+                    build()
+                messages.append(str(info.value))
+        assert messages == ["long TTI 2.5 is not a whole number of slots (slot=1.0)"] * 6
+
+    def test_fig3_scenario_checks_alignment_once(self):
+        traffic._check_slot_alignment.cache_clear()
+        scenario = default_scenario()
+        for rho in scenario.rho_list:
+            scenario.config_for(rho)
+        info = traffic._check_slot_alignment.cache_info()
+        assert (len(scenario.rho_list), info.misses, info.hits) == (9, 1, 9)
+
     def test_rejects_negative_rates(self):
         table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(1.0,))
         with pytest.raises(ValueError):
