@@ -1,5 +1,5 @@
 /* Boundary-to-boundary scheduler of the slotted two-class priority queue,
- * and the row writer of its event trace.
+ * the finisher of its draws, and the row writer of its event trace.
  *
  * tddq_schedule is the compiled twin of `tddq.sim._schedule_py`: the same
  * operations in the same order over the same pre-drawn arrays, so both give
@@ -19,6 +19,17 @@
  * a class's packets queued by the last boundary are exactly its arrivals up
  * to it; and, when rec_cls is not NULL, one record per start in start order
  * (class 0 short / 1 long, arrival, service duration, start, server).
+ *
+ * tddq_arrival_times and tddq_long_ttis finish a class's draw in place, as
+ * `tddq.sim._fill_draw` does in numpy blocks, with the same operations in
+ * the same order: u[n] holds unit exponentials from the class's stream.
+ * tddq_arrival_times turns the gaps into arrival times at rate lam (s +=
+ * u / lam, as `/= lam` and `np.cumsum` do; a vanishing rate overflows to
+ * +inf). tddq_long_ttis turns SNR draws into long TTIs in slots: the SNR
+ * u * mean_snr lies in the region that counts the interior thresholds
+ * g[m] strictly below it (an SNR equal to a threshold falls in the lower
+ * region, as in `tddq.traffic.sample_long_services`), and becomes that
+ * region's entry of slots[m + 1].
  *
  * tddq_trace_merge is the compiled twin of `tddq.sim._write_trace`'s rows:
  * the same bytes from the run's own arrays, a chunk of rows per call, with
@@ -191,6 +202,29 @@ int tddq_schedule(long long n_servers, int aligned, long long horizon, long long
     cnt[2] = k_s;
     cnt[3] = k_l;
     return TDDQ_DONE;
+}
+
+void tddq_arrival_times(double *u, long long n, double lam)
+{
+    double s = 0.0;
+    long long k;
+    for (k = 0; k < n; k++) {
+        s += u[k] / lam;
+        u[k] = s;
+    }
+}
+
+void tddq_long_ttis(double *u, long long n, double mean_snr,
+                    const double *g, long long m, const double *slots)
+{
+    long long k, i;
+    for (k = 0; k < n; k++) {
+        const double snr = u[k] * mean_snr;
+        long long region = 0;
+        for (i = 0; i < m; i++)
+            region += snr > g[i];
+        u[k] = slots[region];
+    }
 }
 
 /* The longest row: a "%.9g" time ("-1.23456789e-308", 16), "arrival" (7),

@@ -13,7 +13,10 @@ equal to the coupled baseline.
 A run has four steps. Each class draws its arrival times and service
 durations as read-only arrays (`_draw`), the arrivals at the config's
 per-server rate whatever the topology; a run that needs more arrivals draws
-again, at twice the size, from the same seeds. The boundary loop schedules
+again, at twice the size, from the same seeds. Compiled, a class's draw is
+one fill of unit exponentials per stream and one pass of `_schedule.c`'s
+finisher over each array: gaps into arrival times, SNRs into long TTIs in
+slots. The boundary loop schedules
 them, reading arrival k of an n-server run as `arrivals[k] * (1.0 / n)`,
 which is exact; each start's record carries its own arrival and duration.
 Statistics, the trace and packets are then built from what the loop wrote.
@@ -25,10 +28,12 @@ records, as one `PacketColumns` record that yields `Packet` rows only when
 iterated: its columns are the run's own record arrays, scaled into real
 time in place, then read-only.
 
-The loop and the writer come as one `_Kernel` from one `_kernel()` call:
-`_schedule.c` compiled on first use, or, when no compiler works, the Python
-twins `_schedule_py` (bit-identical) and `_write_trace` (byte-identical,
-which builds and sorts the events instead of merging them).
+The draw filler, the loop and the writer come as one `_Kernel` from one
+`_kernel()` call: `_schedule.c` compiled on first use, or, when no compiler
+works, the Python twins `_fill_draw` (bit-identical, which draws in numpy
+blocks and looks the long TTIs up through `traffic.sample_long_services`),
+`_schedule_py` (bit-identical) and `_write_trace` (byte-identical, which
+builds and sorts the events instead of merging them).
 
 Last, after its last read of them, a run leaves its draws and sojourn
 buffers in a one-place slot, keyed by what fixes the draws: the seed, config
@@ -62,6 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .traffic import (
+    ChannelModel,
+    RateAdaptationTable,
     Scenario,
     TrafficConfig,
     long_service_moments,
@@ -234,12 +241,14 @@ def run(
     the previous run's draws when they fit (see the module docstring); the
     results are the same either way. A run that returns leaves its draws and
     sojourn buffers, ~24 bytes per drawn arrival, to the next run() in the
-    process, which schedules, redraws into or frees them. The schedule and the
-    trace come from the loop and writer of one `_kernel()` call: compiled on
-    the first call in a process, the writer merging the run's arrivals and
-    start records without building or sorting an event array; or, when no
-    C compiler works, their bit-identical Python references (with one
-    RuntimeWarning).
+    process, which schedules, redraws into or frees them. The draws, the
+    schedule and the trace come from the three members of one `_kernel()`
+    call: compiled on the first call in a process, the draw filling each
+    stream once and finishing it in place, the writer merging the run's
+    arrivals and start records without building or sorting an event array;
+    or, when no C compiler works, their bit-identical Python references
+    (with one RuntimeWarning), the draw in numpy blocks through
+    `traffic.sample_long_services`.
 
     `slot_aligned=False` lets service start the moment a server and packet are
     both available; `exponential_service=True` additionally replaces the
@@ -275,13 +284,8 @@ def run(
         short_service = _exponential_services(1.0)
         long_service = _exponential_services(e_long / slot)
     else:
-        def short_service(rng, n):
-            return np.ones(n)
-
-        def long_service(rng, n):
-            tti = sample_long_services(config.channel, config.table, rng, n)
-            tti /= slot
-            return np.rint(tti, out=tti) if slot_aligned else tti
+        short_service = _one_slot
+        long_service = _TableTTIs(config.channel, config.table, slot, slot_aligned)
 
     seqs_s, seqs_l = (seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(2))
     share_s = lam_s / (lam_s + lam_l)
@@ -291,8 +295,9 @@ def run(
     key = _draw_key(seed, config, slot_aligned, exponential_service)
     draws, (spare_s, spare_l), sojourns = _take_draws(key, (n_s, n_l))
     while True:
-        short, long_ = draws or (_draw(seqs_s, lam_s, short_service, n_s, spare_s),
-                                 _draw(seqs_l, lam_l, long_service, n_l, spare_l))
+        short, long_ = draws or (
+            _draw(seqs_s, lam_s, short_service, n_s, spare_s, kernel.fill_draw),
+            _draw(seqs_l, lam_l, long_service, n_l, spare_l, kernel.fill_draw))
         out = _Schedule(n_servers, horizon, warmup, short, long_, collect, sojourns)
         sojourns = None  # held buffers without room are freed before the loop writes
         code = kernel.schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
@@ -362,6 +367,31 @@ def _exponential_services(mean: float):
     return draw
 
 
+def _one_slot(rng: np.random.Generator, n: int) -> float:
+    """Every short's service: one slot, drawing nothing."""
+    return 1.0
+
+
+@dataclass(frozen=True)
+class _TableTTIs:
+    """Long TTIs in slots: each packet's Rayleigh SNR picks its region's TTI
+    (`traffic.sample_long_services`), divided by the slot and, when starts
+    are slot aligned, rounded to whole slots. The compiled draw looks the
+    regions up itself, from `in_slots` of the table's TTIs."""
+
+    channel: ChannelModel
+    table: RateAdaptationTable
+    slot: float
+    aligned: bool
+
+    def in_slots(self, tti: np.ndarray) -> np.ndarray:
+        tti /= self.slot
+        return np.rint(tti, out=tti) if self.aligned else tti
+
+    def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.in_slots(sample_long_services(self.channel, self.table, rng, n))
+
+
 def _initial_draws(horizon: int, share: float) -> int:
     """Arrivals drawn up front for a class with this share of the traffic.
 
@@ -384,8 +414,13 @@ class _ClassDraws:
     limit: int
 
 
-def _draw(seqs, lam: float, service, n: int, spare: _ClassDraws | None = None) -> _ClassDraws:
-    """`n` arrivals at rate `lam` with durations from `service(rng, n)`.
+def _draw(seqs, lam: float, service, n: int, spare: _ClassDraws | None,
+          fill: Callable[..., None]) -> _ClassDraws:
+    """`n` arrivals at rate `lam` with durations from `service(rng, n)` (n
+    of them, or one for all), as `fill`, a kernel's `fill_draw`, writes
+    them: compiled, one fill of unit exponentials per stream over the whole
+    class and one pass of the finisher over each array; else `_fill_draw`'s
+    numpy blocks.
 
     Gaps and durations come from fresh generators on the two seed sequences
     `seqs`, so a larger `n` extends a smaller one's arrays unchanged. They
@@ -398,7 +433,24 @@ def _draw(seqs, lam: float, service, n: int, spare: _ClassDraws | None = None) -
     arrivals = _room(spare and spare.arrivals, size)
     services = _room(spare and spare.services, size)
     arrivals[-1] = services[-1] = math.inf
-    # in blocks, so that temporaries stay small next to the arrays
+    fill(gaps, durations, lam, service, arrivals[:-1], services[:-1])
+    for array in (arrivals, services, _owner(arrivals), _owner(services)):
+        array.setflags(write=False)
+    return _ClassDraws(arrivals, services, limit)
+
+
+def _fill_draw(gaps: np.random.Generator, durations: np.random.Generator, lam: float,
+               service, arrivals: np.ndarray, services: np.ndarray) -> None:
+    """Write a class's arrival times at rate `lam` into `arrivals`, from unit
+    exponential gaps, and its service durations `service(rng, n)` into
+    `services`, from the two generators.
+
+    The reference for the compiled `fill_draw`, which fills each array in
+    one pass and finishes it in `_schedule.c`; run() uses it when no
+    compiler works. This draws in blocks, so that temporaries stay small
+    next to the arrays.
+    """
+    limit = len(arrivals)
     for lo in range(0, limit, _DRAW_BLOCK):
         hi = min(lo + _DRAW_BLOCK, limit)
         times = arrivals[lo:hi]
@@ -410,9 +462,6 @@ def _draw(seqs, lam: float, service, n: int, spare: _ClassDraws | None = None) -
                 times[0] += arrivals[lo - 1]
             np.cumsum(times, out=times)
         services[lo:hi] = service(durations, hi - lo)
-    for array in (arrivals, services, _owner(arrivals), _owner(services)):
-        array.setflags(write=False)
-    return _ClassDraws(arrivals, services, limit)
 
 
 def _owner(array: np.ndarray) -> np.ndarray:
@@ -502,11 +551,13 @@ _CC = "cc"
 
 
 class _Kernel(NamedTuple):
-    """The scheduling loop and trace writer run() uses: `_schedule.c`
-    compiled, or its Python twins `_schedule_py` and `_write_trace`."""
+    """The draw filler, scheduling loop and trace writer run() uses:
+    `_schedule.c` compiled, or its Python twins `_fill_draw`, `_schedule_py`
+    and `_write_trace`."""
 
     schedule: Callable[..., int]  # as _schedule_py
     write_trace: Callable[..., None]  # as _write_trace
+    fill_draw: Callable[..., None]  # as _fill_draw
 
 
 _KERNEL_LOCK = threading.Lock()
@@ -538,10 +589,10 @@ def _build_kernel() -> _Kernel:
     except (OSError, subprocess.SubprocessError) as exc:
         warnings.warn(
             f"cannot build the C kernel ({exc}); using the slower Python reference "
-            "loop and trace writer",
+            "draw, loop and trace writer",
             RuntimeWarning, stacklevel=4,  # the caller of run()
         )
-        return _Kernel(_schedule_py, _write_trace)
+        return _Kernel(_schedule_py, _write_trace, _fill_draw)
     i64, ptr = ctypes.c_longlong, ctypes.c_void_p
     schedule_fn = lib.tddq_schedule
     schedule_fn.argtypes = [i64, ctypes.c_int, i64, i64, ptr, ptr, i64, ptr, ptr, i64,
@@ -551,6 +602,12 @@ def _build_kernel() -> _Kernel:
     merge_fn.argtypes = [i64, ctypes.c_double, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, i64,
                          i64, ptr, ptr]
     merge_fn.restype = i64
+    arrivals_fn = lib.tddq_arrival_times
+    arrivals_fn.argtypes = [ptr, i64, ctypes.c_double]
+    arrivals_fn.restype = None
+    ttis_fn = lib.tddq_long_ttis
+    ttis_fn.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
+    ttis_fn.restype = None
 
     # arrays go in as their data addresses, plain ints (None passes NULL):
     # passing an array's `.ctypes` makes objects in a reference cycle, which
@@ -588,7 +645,22 @@ def _build_kernel() -> _Kernel:
                                      "or a stream out of time order")
                 fh.write(buf[:size])
 
-    return _Kernel(schedule, write_trace)
+    def fill_draw(gaps: np.random.Generator, durations: np.random.Generator, lam: float,
+                  service, arrivals: np.ndarray, services: np.ndarray) -> None:
+        # one fill per stream, then the finisher in place; `out=` takes only
+        # C-contiguous float64, so it checks each array before C gets it
+        gaps.standard_exponential(out=arrivals)
+        arrivals_fn(arrivals.ctypes.data, len(arrivals), lam)
+        if isinstance(service, _TableTTIs):
+            durations.standard_exponential(out=services)
+            inner = np.array(service.table.thresholds[1:-1])
+            slots = service.in_slots(np.array(service.table.durations))
+            ttis_fn(services.ctypes.data, len(services), service.channel.mean_snr,
+                    inner.ctypes.data, len(inner), slots.ctypes.data)
+        else:
+            services[:] = service(durations, len(services))
+
+    return _Kernel(schedule, write_trace, fill_draw)
 
 
 def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,

@@ -11,6 +11,7 @@ that the fixed seeds meet with margin.
 import csv
 import gc
 import hashlib
+import heapq
 import math
 import os
 import re
@@ -183,6 +184,83 @@ class TestSchedulingInvariants:
         assert np.mean(waits) == pytest.approx(0.25, rel=0.02)
 
 
+def short_wait_mismatches(packets, n_servers):
+    """Shorts whose wait, start minus the slot boundary where each became
+    available, is not the wait that two things at that boundary fix: each
+    server's residual slots, and the shorts ahead of it. Free servers take
+    waiting shorts in arrival order, one slot each, and no long starts while
+    a short waits. Records in any order; times in slots."""
+    order = np.argsort(packets.start_time, kind="stable")
+    start, departure, server = (c[order] for c in (packets.start_time,
+                                                   packets.departure_time, packets.server))
+    shorts = packets.class_code == 0
+    by_arrival = np.argsort(packets.arrival_time[shorts], kind="stable")
+    arrival, short_start = (c[shorts][by_arrival] for c in (packets.arrival_time,
+                                                             packets.start_time))
+    boundary = np.ceil(arrival)
+    residual = []  # per server: the departure of its last start before each boundary
+    for j in range(n_servers):
+        before = np.searchsorted(start[server == j], boundary, "left")
+        last = np.concatenate(([0.0], departure[server == j]))[before]
+        residual.append(np.maximum(last - boundary, 0.0).tolist())
+    ahead, mismatches = [], []  # heap: starts of earlier shorts, not before the boundary
+    for i, (b, s) in enumerate(zip(boundary.tolist(), short_start.tolist())):
+        while ahead and ahead[0] < b:
+            heapq.heappop(ahead)
+        free = [r[i] for r in residual]
+        for _ in ahead:
+            free[free.index(min(free))] += 1.0
+        if s - b != min(free):
+            mismatches.append(i)
+        heapq.heappush(ahead, s)
+    return mismatches
+
+
+def mutated_schedule(packets, mutation):
+    """`packets` (in start order) with one scheduling fault put in."""
+    start, departure, server = (c.copy() for c in (packets.start_time,
+                                                   packets.departure_time, packets.server))
+    shorts = np.flatnonzero(packets.class_code == 0)
+    if mutation == "start-off-grid":
+        start[shorts[0]] += 0.5
+        departure[shorts[0]] += 0.5
+    elif mutation == "shorts-swapped":  # the later short starts first
+        i, k = next((a, b) for a, b in zip(shorts, shorts[1:]) if start[b] > start[a])
+        for column in (start, departure, server):
+            column[[i, k]] = column[[k, i]]
+    else:  # "long-before-waiting-short": a short, and the long that starts
+        # next on its server, one slot later, there by the short's start: the
+        # long goes first instead
+        code, arrival = packets.class_code, packets.arrival_time
+        following = {}  # the next start on each server, scanning backwards
+        for i in range(len(start) - 1, -1, -1):
+            k, following[server[i]] = following.get(server[i]), i
+            if (k is not None and code[i] == 0 and code[k] == 1
+                    and math.ceil(arrival[k]) <= start[i]):
+                break
+        else:
+            raise AssertionError("no short is followed by a long that waited")
+        s, d = start[i], packets.service_duration[k]
+        start[k], departure[k] = s, s + d
+        start[i], departure[i] = s + d, s + d + 1.0
+    return replace(packets, start_time=start, departure_time=departure, server=server)
+
+
+class TestShortWaitMap:
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+    @pytest.mark.parametrize("rho", [0.3, 0.7, 0.9])
+    def test_each_short_waits_as_its_boundary_state_fixes(self, rho, topology):
+        packets = run(fig3_config(rho), topology, 60_000, seed=5, keep_packets=True).packets
+        assert short_wait_mismatches(packets, topology.n_servers) == []
+
+    @pytest.mark.parametrize("mutation", ["long-before-waiting-short", "shorts-swapped",
+                                          "start-off-grid"])
+    def test_scheduling_faults_fail_it(self, mutation):
+        packets = run(fig3_config(0.7), Topology.DECOUPLED, 20_000, seed=5,
+                      keep_packets=True).packets
+        assert short_wait_mismatches(mutated_schedule(packets, mutation), 2) != []
+
+
 class TestPacketColumns:
     def test_columns_are_read_only(self, packets_coupled):
         for name in ("class_code", "arrival_time", "service_duration", "start_time",
@@ -286,13 +364,25 @@ class TestLongServiceLookup:
     @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
     @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "unaligned"])
     def test_run_equals_binary_search_run(self, monkeypatch, topology, aligned):
+        # the run's own draw (compiled where a compiler works) against the
+        # Python draw with the binary-search lookup in place of the counting one
         def fig3_run():
             return run(fig3_config(0.7), topology, 40_000, seed=5,
                        slot_aligned=aligned, keep_packets=True)
 
+        monkeypatch.setattr(sim, "_draw_slot", [])  # each run draws its own
         got = fig3_run()
-        monkeypatch.setattr(sim, "sample_long_services", searchsorted_long_services)
+        lookups = []
+
+        def searchsorted_lookups(*args):
+            lookups.append(1)
+            return searchsorted_long_services(*args)
+
+        monkeypatch.setattr(sim, "sample_long_services", searchsorted_lookups)
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        monkeypatch.setattr(sim, "_kernel", lambda: PY_KERNEL)
         want = fig3_run()
+        assert lookups  # the reference run drew through the binary search
         assert got == want
         assert got.packets == want.packets
 
@@ -330,7 +420,7 @@ def compiled_kernel():
     return kernel
 
 
-PY_KERNEL = sim._Kernel(sim._schedule_py, sim._write_trace)
+PY_KERNEL = sim._Kernel(sim._schedule_py, sim._write_trace, sim._fill_draw)
 
 
 def trace_writer(name):
@@ -685,6 +775,43 @@ def run_on(kernel, trace_path, **kwargs):
         return traced_run(trace_path, **kwargs)
 
 
+@st.composite
+def lookup_tables(draw):
+    """Rate tables of 1-6 regions whose TTIs all differ, so that every
+    threshold separates two TTIs."""
+    m = draw(st.integers(1, 6))
+    inner = draw(st.lists(st.floats(0.01, 100.0), min_size=m - 1, max_size=m - 1, unique=True))
+    rates = draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m, unique=True))
+    return RateAdaptationTable(thresholds=(0.0, *sorted(inner), math.inf),
+                               rates=tuple(sorted(rates)))
+
+
+class UnitDraws:
+    """A generator stub whose unit exponentials are the given values, in
+    order, whether asked for by count or into an array."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def standard_exponential(self, size=None, out=None):
+        n = size if out is None else len(out)
+        part = self.values[self.used:self.used + n]
+        assert len(part) == n
+        self.used += n
+        if out is None:
+            return part.copy()
+        out[:] = part
+        return out
+
+
+def fill_from_units(fill, gaps, units, lam, service):
+    """(arrivals, services) that a kernel's `fill_draw` writes from the unit
+    exponentials `gaps` and `units`."""
+    arrivals, services = np.full(len(gaps), np.nan), np.full(len(units), np.nan)
+    fill(UnitDraws(gaps), UnitDraws(units), lam, service, arrivals, services)
+    return arrivals, services
+
+
 class TestCompiledKernel:
     @settings(max_examples=200, deadline=None)
     @given(small_runs())
@@ -696,6 +823,32 @@ class TestCompiledKernel:
             got = run_on(compiled_kernel()._replace(write_trace=trace_writer(writer)),
                          tmp / f"c-{writer}.csv", **kwargs)
             assert got == expected, writer
+
+    @settings(max_examples=200, deadline=None)
+    @given(lookup_tables(), st.sampled_from([1.0, 0.5, 0.3]), st.booleans(),
+           st.lists(st.floats(0.0, 50.0), max_size=40))
+    def test_draw_finisher_looks_up_regions_as_numpy(self, table, slot, aligned, extra):
+        # unit draws on each interior threshold (an SNR equal to one falls in
+        # the lower region), a step either side of it, and 0.0
+        inner = np.asarray(table.thresholds[1:-1])
+        snr = np.concatenate([inner, np.nextafter(inner, -np.inf),
+                              np.nextafter(inner, np.inf), [0.0], extra])
+        service = sim._TableTTIs(ChannelModel(1.0), table, slot, aligned)
+        got, want = (fill_from_units(fill, np.ones(len(snr)), snr, 1.0, service)
+                     for fill in (compiled_kernel().fill_draw, sim._fill_draw))
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7, 3.0, 1e-307], ids=str)
+    def test_draw_finisher_sums_arrivals_as_numpy(self, lam):
+        # gaps divided by the rate, then summed in order (at 1e-307 they
+        # overflow to +inf); more than one of the reference's blocks
+        units = np.random.default_rng(7).standard_exponential(2 * sim._DRAW_BLOCK + 5)
+        units[:3] = (0.0, 5e-324, 1.0)
+        with np.errstate(over="ignore"):
+            want = np.cumsum(units / lam)
+        for fill in (compiled_kernel().fill_draw, sim._fill_draw):
+            got, _ = fill_from_units(fill, units, units, lam, sim._one_slot)
+            assert got.tobytes() == want.tobytes()
 
     def test_shares_its_constants_with_python(self):
         # the return codes, the 2**53 bound, the row bound and the trace
@@ -748,7 +901,7 @@ class TestCompiledKernel:
             first = run(keep_packets=True, trace_path=str(tmp_path / "first.csv"), **kwargs)
             second = traced_run(tmp_path / "second.csv", **kwargs)
         assert len(caught) == 1 and caught[0].filename == __file__
-        assert sim._kernel() == (sim._schedule_py, sim._write_trace)
+        assert sim._kernel() == (sim._schedule_py, sim._write_trace, sim._fill_draw)
         assert (first, (tmp_path / "first.csv").read_bytes()) == expected
         assert second == expected
 
@@ -929,14 +1082,16 @@ class TestSharedDraws:
     def test_halved_draws_are_the_draws_at_twice_the_rate(self, rate, seed, n):
         # a decoupled run reads the per-server arrivals times 0.5: they must
         # be the arrivals drawn at twice the rate wherever the loop can take
-        # one in, below 2**53 slots (elsewhere both are at or above it)
+        # one in, below 2**53 slots (elsewhere both are at or above it); with
+        # the run's draw filler and its Python reference
         seqs = np.random.SeedSequence(seed).spawn(2)
-        per_server = sim._draw(seqs, rate, uniform_services, n)
-        doubled = sim._draw(seqs, 2.0 * rate, uniform_services, n)
-        halved = per_server.arrivals * 0.5
-        low = (halved < sim._EXACT_SLOTS) | (doubled.arrivals < sim._EXACT_SLOTS)
-        assert np.array_equal(halved[low], doubled.arrivals[low])
-        assert np.array_equal(per_server.services, doubled.services)
+        for fill in (sim._kernel().fill_draw, sim._fill_draw):
+            per_server = sim._draw(seqs, rate, uniform_services, n, None, fill)
+            doubled = sim._draw(seqs, 2.0 * rate, uniform_services, n, None, fill)
+            halved = per_server.arrivals * 0.5
+            low = (halved < sim._EXACT_SLOTS) | (doubled.arrivals < sim._EXACT_SLOTS)
+            assert np.array_equal(halved[low], doubled.arrivals[low])
+            assert np.array_equal(per_server.services, doubled.services)
 
     def test_draws_refuse_writes_and_outputs_copy_them(self, tmp_path, monkeypatch):
         # the next run schedules these very arrays or writes into them:
