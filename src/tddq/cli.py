@@ -1,14 +1,11 @@
 """Command-line experiment runner.
 
-Subcommands wire scenario files to the analytic formulas and the simulator
-and emit plotter-agnostic CSV:
-
-  sojourn-sweep   mean sojourn vs utilization, coupled and decoupled,
-                  analytic and simulated side by side
-  residual-cdf    coupled vs decoupled (min-of-two) residual-time CDF,
-                  closed form and Monte Carlo
-  cycle-time      two-way cycle time mean and tail quantiles
-  validate        quick oracle/invariant self-check, nonzero exit on failure
+Four subcommands, each declared once in `_build_parser` with its handler,
+wire scenario files to the analytic formulas and the simulator and emit
+plotter-agnostic CSV: mean sojourn vs utilization (coupled and decoupled,
+analytic and simulated side by side), the coupled vs min-of-two
+residual-time CDF (closed form and Monte Carlo), the two-way cycle time's
+mean and tail quantiles, and a quick oracle/invariant self-check.
 
 Exit codes: 0 success, 1 failed validation check, 2 bad input.
 """
@@ -44,14 +41,7 @@ from .traffic import (
     region_probabilities,
 )
 
-__all__ = [
-    "cmd_sojourn_sweep",
-    "cmd_residual_cdf",
-    "cmd_cycle_time",
-    "cmd_validate",
-    "worst_normalization_error",
-    "main",
-]
+__all__ = ["main"]
 
 
 def _fmt(x) -> str:
@@ -82,7 +72,7 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     return scenario if args.rho is None else replace(scenario, rho_list=args.rho)
 
 
-def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
+def _sojourn_sweep(args: argparse.Namespace) -> int:
     """Sweep utilization; one row per (rho, topology, class)."""
     if args.warmup is not None and args.warmup >= args.horizon:
         raise ValueError(f"--warmup ({args.warmup}) must be below --horizon ({args.horizon})")
@@ -130,7 +120,7 @@ def cmd_sojourn_sweep(args: argparse.Namespace) -> int:
 _MAX_GRID_ROWS = 10**7
 
 
-def cmd_residual_cdf(args: argparse.Namespace) -> int:
+def _residual_cdf(args: argparse.Namespace) -> int:
     """Residual-time CDF on a y grid over (0, S_L), closed form and empirical.
 
     Each column is computed over the whole grid before `--out` is opened.
@@ -162,7 +152,7 @@ def cmd_residual_cdf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cycle_time(args: argparse.Namespace) -> int:
+def _cycle_time(args: argparse.Namespace) -> int:
     """Cycle-time mean and tail quantiles for both access modes."""
     model = _residual_model(args)
     rng = np.random.default_rng(args.seed)
@@ -181,7 +171,7 @@ def cmd_cycle_time(args: argparse.Namespace) -> int:
     return 0
 
 
-def worst_normalization_error(rng: np.random.Generator) -> float:
+def _worst_normalization_error(rng: np.random.Generator) -> float:
     """Largest |sum p - 1| of region_probabilities over 1000 random tables.
 
     Each table has 1-6 regions with random thresholds, rates and mean SNR,
@@ -225,8 +215,7 @@ def _check_mm1(args: argparse.Namespace) -> tuple[bool, str]:
         lambda_short=0.5, lambda_long=0.0, mu_short=1.0,
         channel=ChannelModel(1.0), table=table,
     )
-    summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed,
-                  slot_aligned=False, exponential_service=True)
+    summary = run(config, Topology.COUPLED, args.horizon, seed=args.seed, mode="exponential")
     mean, ci95 = summary.short.mean, summary.short.ci95
     z = (mean - 2.0) / ci95  # in ci95 half widths; NaN fails the bound
     return abs(z) <= _MM1_HALF_WIDTHS, (
@@ -278,10 +267,10 @@ def _check_dominance() -> tuple[bool, str]:
     return True, f"{len(families)} families dominate pointwise"
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _validate(args: argparse.Namespace) -> int:
     """Run the oracle/invariant suite; exit 1 if any check fails."""
     scenario = _scenario(args)
-    worst_norm = worst_normalization_error(np.random.default_rng(args.seed))
+    worst_norm = _worst_normalization_error(np.random.default_rng(args.seed))
     checks = [
         ("region-prob-normalization", worst_norm <= 1e-12,
          f"max |sum p - 1| = {worst_norm:.3g}"),
@@ -358,37 +347,33 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     p.add_argument("--warmup", type=_int_at_least(0), default=None,
                    help="departures discarded (default 10%% of horizon)")
+    p.set_defaults(handler=_sojourn_sweep)
 
     p = sub.add_parser("residual-cdf", help="coupled vs min-of-two residual CDF")
     _add_common(p)
     _add_residual_flags(p)
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.1)
+    p.set_defaults(handler=_residual_cdf)
 
     p = sub.add_parser("cycle-time", help="two-way cycle time quantiles")
     _add_common(p)
     _add_residual_flags(p)
     p.add_argument("--s-short", dest="s_short", type=float, default=1.0)
     p.add_argument("--t-proc", dest="t_proc", type=float, default=2.0)
+    p.set_defaults(handler=_cycle_time)
 
     p = sub.add_parser("validate", help="oracle/invariant self-check")
     _add_common(p)
     _add_scenario_flags(p)
+    p.set_defaults(handler=_validate)
 
     return parser
-
-
-_COMMANDS = {
-    "sojourn-sweep": cmd_sojourn_sweep,
-    "residual-cdf": cmd_residual_cdf,
-    "cycle-time": cmd_cycle_time,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

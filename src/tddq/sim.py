@@ -8,7 +8,9 @@ scheduler can run boundary-to-boundary instead of slot-by-slot: each loop
 iteration starts at least one service. Long packets draw their SNR (hence
 TTI) once, on arrival. The decoupled topology doubles both arrival rates and
 lets two servers share the same two queues, keeping per-server utilization
-equal to the coupled baseline.
+equal to the coupled baseline. That is `run()`'s default mode, "aligned";
+its oracle-only modes "unaligned" and "exponential" change only the drawn
+durations and one flag of the loop.
 
 A run has four steps. Each class draws its arrival times and service
 durations as read-only arrays (`_draw`), the arrivals at the config's
@@ -37,7 +39,7 @@ builds and sorts the events instead of merging them).
 
 Last, after its last read of them, a run leaves its draws and sojourn
 buffers in a one-place slot, keyed by what fixes the draws: the seed, config
-and service mode. Every run empties the slot as it starts. It schedules the
+and `mode`. Every run empties the slot as it starts. It schedules the
 held draws if the key matches and they reach its own sizes, so a decoupled
 run after a coupled one with the same seed (as `sojourn-sweep` makes at each
 load point) draws nothing; else it draws into the held arrays where they
@@ -119,6 +121,7 @@ class Packet:
 
 
 _KINDS = ("short", "long")
+_MODES = ("aligned", "unaligned", "exponential")  # run()'s service modes
 _CHUNK = 16384  # rows turned into Python objects at a time
 
 
@@ -221,8 +224,7 @@ def run(
     warmup: int | None = None,
     seed: int = 0,
     *,
-    slot_aligned: bool = True,
-    exponential_service: bool = False,
+    mode: str = "aligned",
     keep_packets: bool = False,
     trace_path: str | None = None,
 ) -> SojournSummary:
@@ -250,10 +252,11 @@ def run(
     (with one RuntimeWarning), the draw in numpy blocks through
     `traffic.sample_long_services`.
 
-    `slot_aligned=False` lets service start the moment a server and packet are
-    both available; `exponential_service=True` additionally replaces the
-    deterministic/table durations by exponentials with the same means. Both
-    exist for closed-form oracle checks only.
+    `mode="aligned"` is the model above. `mode="unaligned"` lets service
+    start the moment a server and packet are both available;
+    `mode="exponential"` also replaces the deterministic/table durations by
+    exponentials with the same means. Those two exist for closed-form oracle
+    checks only; any other mode raises ValueError.
 
     `keep_packets=True` returns every served packet, warmup included, as
     `summary.packets`: a `PacketColumns` record of read-only arrays in start
@@ -267,8 +270,9 @@ def run(
         raise ValueError("warmup must be >= 0")
     if horizon <= warmup:
         raise ValueError("horizon must exceed warmup")
-    if exponential_service and slot_aligned:
-        raise ValueError("exponential service breaks slot alignment; pass slot_aligned=False")
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {', '.join(map(repr, _MODES))}, got {mode!r}")
+    aligned = mode == "aligned"
     n_servers = topology.n_servers
     slot = config.slot
     # work in slot units so aligned boundaries are exact integers; the loop
@@ -279,20 +283,20 @@ def run(
         raise ValueError("no traffic: lambda_short and lambda_long are both 0, "
                          "so no packet is ever served")
 
-    if exponential_service:
+    if mode == "exponential":
         e_long, _ = long_service_moments(config.channel, config.table)
         short_service = _exponential_services(1.0)
         long_service = _exponential_services(e_long / slot)
     else:
         short_service = _one_slot
-        long_service = _TableTTIs(config.channel, config.table, slot, slot_aligned)
+        long_service = _TableTTIs(config.channel, config.table, slot, aligned)
 
     seqs_s, seqs_l = (seq.spawn(2) for seq in np.random.SeedSequence(seed).spawn(2))
     share_s = lam_s / (lam_s + lam_l)
     n_s, n_l = _initial_draws(horizon, share_s), _initial_draws(horizon, 1.0 - share_s)
     collect = keep_packets or bool(trace_path)
     kernel = _kernel()
-    key = _draw_key(seed, config, slot_aligned, exponential_service)
+    key = _draw_key(seed, config, mode)
     draws, (spare_s, spare_l), sojourns = _take_draws(key, (n_s, n_l))
     while True:
         short, long_ = draws or (
@@ -300,7 +304,7 @@ def run(
             _draw(seqs_l, lam_l, long_service, n_l, spare_l, kernel.fill_draw))
         out = _Schedule(n_servers, horizon, warmup, short, long_, collect, sojourns)
         sojourns = None  # held buffers without room are freed before the loop writes
-        code = kernel.schedule(n_servers, slot_aligned, horizon, warmup, short, long_, out)
+        code = kernel.schedule(n_servers, aligned, horizon, warmup, short, long_, out)
         if code != _NEED_MORE:
             break
         # same streams: the longer draw extends the shorter, in place if it has room
@@ -481,8 +485,7 @@ def _room(spare: np.ndarray | None, n: int) -> np.ndarray:
 _draw_slot: list[tuple] = []  # at most one (key, (short, long) draws, sojourn buffers)
 
 
-def _draw_key(seed, config: TrafficConfig, slot_aligned: bool,
-              exponential_service: bool) -> tuple | None:
+def _draw_key(seed, config: TrafficConfig, mode: str) -> tuple | None:
     """What fixes a run's draws besides their sizes; None for a seed that is
     not one integer (None draws fresh entropy), whose draws are never
     shared."""
@@ -490,7 +493,7 @@ def _draw_key(seed, config: TrafficConfig, slot_aligned: bool,
         seed = operator.index(seed)
     except TypeError:
         return None
-    return (seed, config, slot_aligned, exponential_service)
+    return (seed, config, mode)
 
 
 def _take_draws(key: tuple | None, sizes: tuple[int, int]):

@@ -39,7 +39,7 @@ from tddq import (
     utilization,
 )
 from tddq.analytic import ResidualModel, cycle_time_stats
-from tddq.cli import main as cli_main, worst_normalization_error
+from tddq.cli import _worst_normalization_error, main as cli_main
 
 RHO_SWEEP = (0.3, 0.5, 0.7, 0.8, 0.85)
 PK_POINTS = (0.3, 0.5, 0.7, 0.85)  # criterion 2
@@ -74,8 +74,7 @@ def test_criterion_1_mm1_oracle():
     table = RateAdaptationTable(thresholds=(0.0, math.inf), rates=(1.0,))
     config = TrafficConfig(0.5, 0.0, 1.0, ChannelModel(1.0), table)
     t0 = time.perf_counter()
-    s = run(config, Topology.COUPLED, HORIZON, WARMUP, seed=7,
-            slot_aligned=False, exponential_service=True)
+    s = run(config, Topology.COUPLED, HORIZON, WARMUP, seed=7, mode="exponential")
     elapsed = time.perf_counter() - t0
     rel = abs(s.short.mean - 2.0) / 2.0
     ok = rel <= 0.02 and elapsed < 30.0
@@ -229,7 +228,7 @@ def test_criterion_7_conservation_suite(sweep_results):
                 # index tie-breaking skews per-server load; conservation is
                 # checked on the across-server mean
                 worst_busy = max(worst_busy, abs(s.mean_busy_fraction - rho))
-    worst_norm = worst_normalization_error(np.random.default_rng(SEED + 2))
+    worst_norm = _worst_normalization_error(np.random.default_rng(SEED + 2))
     ok = worst_little < 0.01 and worst_busy <= 0.01 and worst_norm <= 1e-12
     assert report(
         7, ok,

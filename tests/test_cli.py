@@ -388,6 +388,11 @@ class TestValidate:
         out = capsys.readouterr().out
         assert rc == 1
         assert re.search(r"^load-points-stable\s+FAIL\s+rho=1.3", out, re.MULTILINE)
+        # with no stable point the conservation check has no run to make
+        rc = main(["validate", "--rho", "1.5", "--horizon", "20000"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert re.search(r"^littles-law-and-busy\s+FAIL\s+rho=1.5: ", out, re.MULTILINE)
 
     def test_out_writes_report(self, tmp_path, capsys):
         out = tmp_path / "validate.txt"
@@ -437,6 +442,17 @@ class TestValidate:
         rc = main(["validate"])
         out = capsys.readouterr().out
         assert re.search(r"^littles-law-and-busy\s+FAIL", out, re.MULTILINE)
+        assert rc == 1
+
+    def test_decreasing_cdf_fails_dominance(self, monkeypatch, capsys):
+        def decreasing(model, grid, decoupled, cdf=cli.residual_cdf):
+            return 1.0 - np.asarray(cdf(model, grid, decoupled=decoupled))
+
+        monkeypatch.setattr(cli, "residual_cdf", decreasing)
+        rc = main(["validate", "--horizon", "20000"])
+        out = capsys.readouterr().out
+        assert re.search(r"^residual-dominance\s+FAIL\s+dominance violated for family "
+                         r"exponential", out, re.MULTILINE)
         assert rc == 1
 
     def test_tampered_tolerance_fails(self, monkeypatch, capsys):
@@ -510,6 +526,14 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"], ["validate", "--no-such-flag"]],
+                             ids=["no-subcommand", "unknown-subcommand", "unknown-flag"])
+    def test_argparse_errors_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["sojourn-sweep", "--rho", "abc"], "--rho"),

@@ -68,3 +68,10 @@ def test_package_exports_exactly_the_layers_public_names():
     star: dict[str, object] = {}
     exec("from tddq import *", star)
     assert star.keys() - {"__builtins__"} == set(tddq.__all__)
+
+
+def test_run_keyword_only_options_are_pinned():
+    # a new option of run() shows up here as a diff
+    params = inspect.signature(sim.run).parameters.values()
+    keyword_only = tuple(p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY)
+    assert keyword_only == ("mode", "keep_packets", "trace_path")

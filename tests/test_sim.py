@@ -56,14 +56,12 @@ def fig3_config(rho):
 class TestClosedFormOracles:
     def test_mm1_sanity_mode(self):
         # oracle: M/M/1 mean sojourn 1/(mu - lam) = 2.0
-        s = run(MM1_CONFIG, Topology.COUPLED, 220_000, 20_000, seed=17,
-                slot_aligned=False, exponential_service=True)
+        s = run(MM1_CONFIG, Topology.COUPLED, 220_000, 20_000, seed=17, mode="exponential")
         assert s.short.mean == pytest.approx(2.0, rel=0.02)
 
     def test_md1_unslotted(self):
         # oracle: M/D/1 sojourn = rho/(2 mu (1-rho)) + 1/mu = 1.5
-        s = run(MM1_CONFIG, Topology.COUPLED, 220_000, 20_000, seed=17,
-                slot_aligned=False)
+        s = run(MM1_CONFIG, Topology.COUPLED, 220_000, 20_000, seed=17, mode="unaligned")
         assert s.short.mean == pytest.approx(1.5, rel=0.02)
 
     def test_md1_slotted_discrete_start(self):
@@ -91,6 +89,8 @@ class TestEmptyAndErrors:
     def test_horizon_must_exceed_warmup(self):
         with pytest.raises(ValueError):
             run(MM1_CONFIG, Topology.COUPLED, 100, warmup=100, seed=1)
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            run(MM1_CONFIG, Topology.COUPLED, 100, warmup=-1, seed=1)
 
     @pytest.mark.parametrize("horizon, warmup", [(100, 100), (0, None)],
                              ids=["warmup-equals-horizon", "zero-horizon"])
@@ -107,9 +107,22 @@ class TestEmptyAndErrors:
         assert math.isnan(s.little_residual)
         assert all(math.isnan(b) for b in s.busy_fraction)
 
-    def test_exponential_service_requires_unaligned(self):
-        with pytest.raises(ValueError):
-            run(MM1_CONFIG, Topology.COUPLED, 100, seed=1, exponential_service=True)
+    def test_window_without_arrivals_gives_nan_little_residual(self):
+        # the window's two departures arrived before it opened: L*T > 0 but
+        # lambda*W is 0, so the relative residual has no denominator
+        s = run(fig3_config(0.9), Topology.COUPLED, horizon=3, warmup=1, seed=5)
+        assert s.measurement_time > 0
+        assert s.arrival_rate_estimate == 0.0
+        assert math.isnan(s.little_residual)
+
+    @pytest.mark.parametrize("mode", ["slotted", "Aligned", None])
+    def test_unknown_mode_raises_before_drawing(self, monkeypatch, mode):
+        drawn = []
+        monkeypatch.setattr(sim, "_draw", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="mode must be one of") as exc:
+            run(MM1_CONFIG, Topology.COUPLED, 100, seed=1, mode=mode)
+        assert all(repr(m) in str(exc.value) for m in ("aligned", "unaligned", "exponential"))
+        assert drawn == []
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +300,7 @@ class TestPacketColumns:
                     keep_packets=True).packets
         assert again == packets_coupled
         assert other != packets_coupled
+        assert packets_coupled != 5  # __eq__ defers to the other operand
 
 
 class TestConservation:
@@ -362,13 +376,13 @@ def searchsorted_long_services(channel, table, rng, n):
 
 class TestLongServiceLookup:
     @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
-    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "unaligned"])
-    def test_run_equals_binary_search_run(self, monkeypatch, topology, aligned):
+    @pytest.mark.parametrize("mode", ["aligned", "unaligned"])
+    def test_run_equals_binary_search_run(self, monkeypatch, topology, mode):
         # the run's own draw (compiled where a compiler works) against the
         # Python draw with the binary-search lookup in place of the counting one
         def fig3_run():
             return run(fig3_config(0.7), topology, 40_000, seed=5,
-                       slot_aligned=aligned, keep_packets=True)
+                       mode=mode, keep_packets=True)
 
         monkeypatch.setattr(sim, "_draw_slot", [])  # each run draws its own
         got = fig3_run()
@@ -577,7 +591,7 @@ PINNED_TRACES = {
                     "302a459bd796dd9f8b58779f011d136a8c6ecddb957c49471daa6cffaf3edf68"),
     # slot 0.5 and starts off the slot grid: times that are not whole slots
     "half-slot-unaligned": (dict(config=replace(default_scenario(), mu_short=2.0).config_for(0.7),
-                                 slot_aligned=False),
+                                 mode="unaligned"),
                             "dca5e806b8dbc6685ab98c80c27068b72ba11cae8769abb718e917dd8b4873c2"),
 }
 
@@ -746,8 +760,7 @@ def small_runs(draw):
         horizon=horizon,
         warmup=draw(st.integers(0, horizon - 1)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        slot_aligned=mode == "aligned",
-        exponential_service=mode == "exponential",
+        mode=mode,
     )
 
 
@@ -1021,7 +1034,7 @@ def run_sequences(draw):
     jobs = [
         base,
         dict(base, horizon=horizon, warmup=min(base["warmup"], horizon - 1)),
-        dict(base, slot_aligned=False, exponential_service=not base["exponential_service"]),
+        dict(base, mode="unaligned" if base["mode"] == "exponential" else "exponential"),
         dict(base, config=replace(config, table=one_slot)),
         dict(base, config=MM1_CONFIG),
     ]
@@ -1151,7 +1164,7 @@ class TestSharedDraws:
         kernel = compiled_kernel() if loop == "c" else PY_KERNEL
         tmp = tmp_path_factory.mktemp("poison")
         for job in (first, second):
-            job.update(slot_aligned=mode == "aligned", exponential_service=mode == "exponential")
+            job.update(mode=mode)
         if same_key:
             second.update(config=first["config"], seed=first["seed"])
         draws = sim._initial_draws if factor is None else small_initial_draws(factor)
@@ -1161,8 +1174,7 @@ class TestSharedDraws:
             with mock.patch.object(sim, "_draw_slot", []):
                 run_on(kernel, tmp / "first.csv", **first)
                 [(key, held_draws, held)] = sim._draw_slot
-                options = (second["config"], second["slot_aligned"], second["exponential_service"])
-                if key != sim._draw_key(second["seed"], *options):
+                if key != sim._draw_key(second["seed"], second["config"], second["mode"]):
                     held += tuple(a for d in held_draws for a in (d.arrivals, d.services))
                 for array in held:
                     poison(sim._owner(array))

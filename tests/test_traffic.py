@@ -107,6 +107,8 @@ class TestRateAdaptationTable:
         assert table.durations == pytest.approx((15.0, 10.0, 2.0))
 
     def test_rejects_bad_thresholds(self):
+        with pytest.raises(ValueError, match="at least one region"):
+            RateAdaptationTable(thresholds=(0.0,), rates=())
         with pytest.raises(ValueError):
             RateAdaptationTable(thresholds=(1.0, math.inf), rates=(1.0,))
         with pytest.raises(ValueError):
@@ -488,6 +490,11 @@ class TestScenarioParsing:
     def test_bad_number_rejected(self):
         with pytest.raises(ValueError):
             parse_scenario("mu_short = fast\n")
+
+    @pytest.mark.parametrize("key", ["mean_snr_db", "mu_short", "lambda_ratio"])
+    def test_single_value_key_given_two_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be a single value"):
+            parse_scenario(f"{key} = 2, 3\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
