@@ -880,22 +880,25 @@ class TestCompiledKernel:
                          "START": str(sim._START)}
 
     def test_growing_the_draws_leaves_results_unchanged(self, tmp_path, monkeypatch):
-        kwargs = dict(config=fig3_config(0.9), topology=Topology.DECOUPLED,
-                      horizon=3_000, warmup=300, seed=31)
-        expected = run_on(compiled_kernel(), tmp_path / "ref.csv", **kwargs)
+        # both topologies, since the compiled loop has its own copy for one server
+        jobs = {topology: dict(config=fig3_config(0.9), topology=topology,
+                               horizon=3_000, warmup=300, seed=31) for topology in Topology}
+        expected = {topology: run_on(compiled_kernel(), tmp_path / "ref.csv", **kwargs)
+                    for topology, kwargs in jobs.items()}
         monkeypatch.setattr(sim, "_initial_draws", lambda horizon, share: 1)
         monkeypatch.setattr(sim, "_DRAW_BLOCK", 7)
-        for name, kernel in (("c", compiled_kernel()), ("py", PY_KERNEL)):
-            monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held that would fit
-            calls = []
+        for topology, kwargs in jobs.items():
+            for name, kernel in (("c", compiled_kernel()), ("py", PY_KERNEL)):
+                monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held that would fit
+                calls = []
 
-            def counting(*args, schedule=kernel.schedule):
-                calls.append(1)
-                return schedule(*args)
+                def counting(*args, schedule=kernel.schedule):
+                    calls.append(1)
+                    return schedule(*args)
 
-            assert run_on(kernel._replace(schedule=counting), tmp_path / f"{name}.csv",
-                          **kwargs) == expected
-            assert len(calls) > 1  # at least one grow-and-rerun
+                assert run_on(kernel._replace(schedule=counting), tmp_path / f"{name}.csv",
+                              **kwargs) == expected[topology], (topology, name)
+                assert len(calls) > 1, (topology, name)  # at least one grow-and-rerun
 
     @pytest.fixture
     def fresh_kernel(self):
@@ -1003,9 +1006,10 @@ class TestCompiledKernel:
             never = sim._ClassDraws(np.array([math.inf]), np.array([math.inf]), -1)
             nan_first = sim._ClassDraws(np.array([math.nan, 5.0, math.inf]),
                                         np.array([2.0, 2.0, math.inf]), 2)
-            for aligned in (True, False):
-                out = sim._Schedule(1, 10, 0, never, nan_first, False, (None, None))
-                print(schedule(1, aligned, 10, 0, never, nan_first, out))
+            for n_servers in (1, 2):
+                for aligned in (True, False):
+                    out = sim._Schedule(n_servers, 10, 0, never, nan_first, False, (None, None))
+                    print(schedule(n_servers, aligned, 10, 0, never, nan_first, out))
         """
         package = str(Path(sim.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1015,7 +1019,7 @@ class TestCompiledKernel:
         if "no working C compiler" in result.stderr:
             pytest.skip("no working C compiler")
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == [str(sim._STALLED)] * 2
+        assert result.stdout.split() == [str(sim._STALLED)] * 4
 
 
 OTHER = {Topology.COUPLED: Topology.DECOUPLED, Topology.DECOUPLED: Topology.COUPLED}
