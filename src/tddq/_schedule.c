@@ -105,6 +105,7 @@ tddq_schedule_n(const long long n_servers, const int aligned, long long horizon,
     }
 
     while (started < horizon) {
+        const long long begun = started; /* starts before this boundary */
         /* decision boundary: earliest free server, pushed out to the next
          * packet availability when nothing is waiting */
         t = free_[0];
@@ -181,8 +182,11 @@ tddq_schedule_n(const long long n_servers, const int aligned, long long horizon,
         }
 
         /* work conservation: a boundary never leaves a free server and a
-         * waiting packet behind */
-        if (started < horizon && (hs < ns || hl < nl))
+         * waiting packet behind. Every server free at t took a packet unless
+         * the queues emptied, so one still free took a zero-length service
+         * (an exponential draw can be 0): a boundary that started something
+         * runs again, and only one that started nothing breaches */
+        if (started < horizon && (hs < ns || hl < nl) && started == begun)
             for (j = 0; j < n_servers; j++)
                 if (free_[j] <= t)
                     return TDDQ_BREACH;

@@ -28,7 +28,8 @@ and records, and formats the rows (times exactly as `%.9g`) into a byte
 buffer a chunk at a time. Packets come after the trace's read of the
 records, as one `PacketColumns` record that yields `Packet` rows only when
 iterated: its columns are the run's own record arrays, scaled into real
-time in place, then read-only.
+time in place, then read-only, and the departure column, all six carved
+from one block that each collecting run allocates afresh.
 
 The draw filler, the loop and the writer come as one `_Kernel` from one
 `_kernel()` call: `_schedule.c` compiled on first use, or, when no compiler
@@ -131,6 +132,10 @@ class PacketColumns:
 
     Times are in real units; `class_code` is 0 for short and 1 for long.
     Iterating yields one `Packet` per start, built (and checked) on demand.
+
+    A run's six columns are views of one block of 41 bytes per start, so a
+    column the caller keeps keeps the whole block alive: all six columns'
+    memory, not just its own.
     """
 
     class_code: np.ndarray
@@ -206,7 +211,8 @@ def _class_stats(data: np.ndarray, scale: float) -> ClassStats:
     n = len(data)
     if n == 0:
         return ClassStats(0, math.nan, math.nan)
-    data *= scale
+    if scale != 1.0:  # x * 1.0 == x
+        data *= scale
     mean = float(data.mean())
     if n >= N_BATCHES:
         per = n // N_BATCHES
@@ -260,9 +266,12 @@ def run(
 
     `keep_packets=True` returns every served packet, warmup included, as
     `summary.packets`: a `PacketColumns` record of read-only arrays in start
-    order, which yields `Packet` rows when iterated. `trace_path` writes the
-    event CSV (`time,event,class,server,queue_len_short,queue_len_long`),
-    one row per arrival, start and departure, each ending in CRLF.
+    order, which yields `Packet` rows when iterated. Its columns are the
+    loop's per-start records, scaled into real time, and the departures,
+    views of one block of 41 bytes per start that the run allocates and
+    never holds or recycles. `trace_path` writes the event CSV
+    (`time,event,class,server,queue_len_short,queue_len_long`), one row per
+    arrival, start and departure, each ending in CRLF.
     """
     if warmup is None:
         warmup = horizon // 10
@@ -331,7 +340,7 @@ def run(
         kernel.write_trace(trace_path, short.arrivals[:n_short], long_.arrivals[:n_long],
                            (cls, duration, start, server), n_servers, slot)
     # after the trace's read of the records, which this scales
-    packets = _packet_columns(out.records, slot) if keep_packets else None
+    packets = _packet_columns(out.records, out.departure, slot) if keep_packets else None
 
     span = t_end - t_w
     if span > 0:
@@ -527,7 +536,10 @@ class _Schedule:
     Each is sized for the most the loop can write into it: a class's
     sojourns are bounded by its draws and by the window, records by the
     horizon. The sojourns go into the `spare` pair of arrays where they
-    have room.
+    have room. A collecting pass carves its five record columns and the
+    packets' departure column from one new block, 41 bytes per start with
+    every column aligned, so that a run's records come from one allocation
+    that the allocator hands to the next run when the packets are dropped.
     """
 
     def __init__(self, n_servers: int, horizon: int, warmup: int,
@@ -539,11 +551,14 @@ class _Schedule:
         self.acc = np.zeros(3)
         self.cnt = np.zeros(4, dtype=np.int64)
         # per start: class (0 short, 1 long), arrival, duration, start, server
-        self.records = (
-            (np.empty(horizon, np.uint8), np.empty(horizon), np.empty(horizon),
-             np.empty(horizon), np.empty(horizon, np.int64))
-            if collect else None
-        )
+        self.records = self.departure = None
+        if collect:
+            # the 8-byte columns first, so each starts aligned; the class last
+            block = np.empty(41 * horizon, np.uint8)
+            arrival, duration, start, self.departure = (
+                block[:32 * horizon].view(np.float64).reshape(4, horizon))
+            server = block[32 * horizon:40 * horizon].view(np.int64)
+            self.records = (block[40 * horizon:], arrival, duration, start, server)
 
 
 _DRAW_BLOCK = 16384
@@ -685,6 +700,7 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     warm = False
 
     while started < horizon:
+        begun = started
         t = min(free)
         if hs == ns and hl == nl:
             a = arr_s[ns] if arr_s[ns] < arr_l[nl] else arr_l[nl]
@@ -731,7 +747,8 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
             if started == horizon:
                 break
 
-        if started < horizon and (hs < ns or hl < nl) and min(free) <= t:
+        # a server still free took a zero-length service: run the boundary again
+        if started < horizon and (hs < ns or hl < nl) and started == begun and min(free) <= t:
             return _BREACH
 
     for j in range(n_servers):
@@ -764,14 +781,16 @@ _TRACE_ROW = "%.9g,%s,%d,%d\r\n"
 _ROW_BYTES = 95  # the longest row `_schedule.c` writes, as TDDQ_ROW_BYTES there
 
 
-def _packet_columns(records: tuple, scale: float) -> PacketColumns:
+def _packet_columns(records: tuple, departure: np.ndarray, scale: float) -> PacketColumns:
     """A run's packets from its records, in slot units, which are scaled in
-    place into real time: the records become the packets' columns, so nothing
-    may read them as slots after this."""
+    place into real time: the records and `departure`, which gets start plus
+    duration, become the packets' columns, so nothing may read them as slots
+    after this."""
     cls, arrival, duration, start, server = records
-    departure = start + duration
-    for column in (arrival, duration, start, departure):
-        column *= scale
+    np.add(start, duration, out=departure)
+    if scale != 1.0:  # x * 1.0 == x
+        for column in (arrival, duration, start, departure):
+            column *= scale
     return PacketColumns(cls, arrival, duration, start, departure, server)
 
 

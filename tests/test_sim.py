@@ -293,6 +293,25 @@ class TestPacketColumns:
                      "server"):
             assert [getattr(r, name) for r in rows] == getattr(p, name).tolist()
 
+    def test_columns_are_one_block_that_later_runs_leave_alone(self, tmp_path):
+        # six aligned, read-only views of one block of 41 bytes per start;
+        # each later run allocates its own, with a trace or without
+        packets = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=31, keep_packets=True,
+                      trace_path=str(tmp_path / "first.csv")).packets
+        columns = packets._columns()
+        [block] = {id(sim._owner(column)): sim._owner(column) for column in columns}.values()
+        assert block.nbytes == 41 * 5_000
+        assert [column.dtype for column in columns] == [
+            np.uint8, np.float64, np.float64, np.float64, np.float64, np.int64]
+        assert all(column.flags.aligned and column.flags.c_contiguous
+                   and not column.flags.writeable for column in columns)
+        before = [column.tobytes() for column in columns]
+        for trace in ("later.csv", None):
+            later = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=32, keep_packets=True,
+                        trace_path=trace and str(tmp_path / trace)).packets
+            assert not any(np.shares_memory(block, column) for column in later._columns())
+        assert [column.tobytes() for column in columns] == before
+
     def test_equality_is_column_by_column(self, packets_coupled):
         again = run(fig3_config(0.6), Topology.COUPLED, 30_000, 1_000, seed=21,
                     keep_packets=True).packets
@@ -585,15 +604,27 @@ WIDE_TRACES = {
 
 # sha256 of trace files, which every writer must keep: fig3-rho0.7 as the
 # Python writer wrote it before the compiled writer existed, and
-# half-slot-unaligned since arrivals come before starts at equal times
+# half-slot-unaligned since arrivals come before starts at equal times; then
+# sha256 of the same run's packet columns (`packets_digest`), which no layout
+# of the columns in memory may change
 PINNED_TRACES = {
     "fig3-rho0.7": (dict(config=fig3_config(0.7)),
-                    "302a459bd796dd9f8b58779f011d136a8c6ecddb957c49471daa6cffaf3edf68"),
+                    "302a459bd796dd9f8b58779f011d136a8c6ecddb957c49471daa6cffaf3edf68",
+                    "d524288c4c997f8cc08ea9d0723e4e5d57d84f59b6937cf72252655fd6ae8135"),
     # slot 0.5 and starts off the slot grid: times that are not whole slots
     "half-slot-unaligned": (dict(config=replace(default_scenario(), mu_short=2.0).config_for(0.7),
                                  mode="unaligned"),
-                            "dca5e806b8dbc6685ab98c80c27068b72ba11cae8769abb718e917dd8b4873c2"),
+                            "dca5e806b8dbc6685ab98c80c27068b72ba11cae8769abb718e917dd8b4873c2",
+                            "cfc9a025926530730bf6ba6949ca1cbc599ba0ee76d84df5e941e59315213f17"),
 }
+
+
+def packets_digest(packets):
+    """sha256 of the bytes of every column of `packets`, in order."""
+    digest = hashlib.sha256()
+    for column in packets._columns():
+        digest.update(column.tobytes())
+    return digest.hexdigest()
 
 
 class TestTrace:
@@ -654,7 +685,7 @@ class TestTrace:
     @pytest.mark.parametrize("writer", ["c", "py"])
     @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
     def test_trace_matches_recorded_digest(self, tmp_path, monkeypatch, writer, name):
-        kwargs, digest = PINNED_TRACES[name]
+        kwargs, digest, packet_digest = PINNED_TRACES[name]
         kernel = sim._kernel()._replace(write_trace=trace_writer(writer))
         monkeypatch.setattr(sim, "_kernel", lambda: kernel)
         path = tmp_path / "trace.csv"
@@ -665,6 +696,7 @@ class TestTrace:
         untraced = run(topology=Topology.DECOUPLED, horizon=20_000, seed=3, keep_packets=True,
                        **kwargs)
         assert traced.packets == untraced.packets
+        assert packets_digest(traced.packets) == packet_digest
 
     def test_compiled_writer_streams(self, tmp_path, monkeypatch):
         # what the writer allocates is its row buffer, however long the trace;
@@ -1020,6 +1052,26 @@ class TestCompiledKernel:
             pytest.skip("no working C compiler")
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [str(sim._STALLED)] * 4
+
+    @pytest.mark.parametrize("loop", ["c", "py"])
+    @pytest.mark.parametrize("n_servers", [1, 2])
+    def test_zero_length_service_runs_the_boundary_again(self, loop, n_servers):
+        # an exponential service can be 0: its server is free again at the
+        # boundary that started it, with packets still waiting there
+        schedule = compiled_kernel().schedule if loop == "c" else sim._schedule_py
+        inf = math.inf
+        shorts = sim._ClassDraws(np.array([1.0, 1.0, 1.0, 9.0, inf]) * n_servers,
+                                 np.array([0.0, 1.0, 1.0, 1.0, inf]), 4)
+        never = sim._ClassDraws(np.array([inf]), np.array([inf]), -1)
+        out = sim._Schedule(n_servers, 3, 0, shorts, never, True, (None, None))
+        assert schedule(n_servers, False, 3, 0, shorts, never, out) == sim._DONE
+        # one server starts packets 0 and 1 at t = 1, two servers start all
+        # three there, the third on server 0 when the boundary runs again
+        start, server = ([1.0, 1.0, 2.0], [0, 0, 0]) if n_servers == 1 else \
+            ([1.0, 1.0, 1.0], [0, 1, 0])
+        assert [column.tolist() for column in out.records] == [
+            [0, 0, 0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0], start, server]
+        assert out.cnt.tolist() == [3, 0, 3, 0]
 
 
 OTHER = {Topology.COUPLED: Topology.DECOUPLED, Topology.DECOUPLED: Topology.COUPLED}
