@@ -84,7 +84,7 @@ def _sojourn_sweep(args: argparse.Namespace) -> int:
               "sim_mean", "sim_ci95", "rel_err", "error"]
     # point by point, coupled then decoupled: the decoupled run takes the
     # coupled run's draws (same seed, per-server arrivals) instead of drawing,
-    # and the next point draws into the same arrays
+    # and the next point draws into the blocks the allocator took back
     points = [
         (topo, *sweep(scenario, topo, [rho], args.horizon, args.warmup,
                       seed_base=args.seed + i))

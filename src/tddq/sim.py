@@ -38,15 +38,14 @@ blocks and looks the long TTIs up through `traffic.sample_long_services`),
 `_schedule_py` (bit-identical) and `_write_trace` (byte-identical, which
 builds and sorts the events instead of merging them).
 
-Last, after its last read of them, a run leaves its draws and sojourn
-buffers in a one-place slot, keyed by what fixes the draws: the seed, config
-and `mode`. Every run empties the slot as it starts. It schedules the
-held draws if the key matches and they reach its own sizes, so a decoupled
-run after a coupled one with the same seed (as `sojourn-sweep` makes at each
-load point) draws nothing; else it draws into the held arrays where they
-have room. Its sojourns go into the held buffers likewise. So one run's
-buffers, ~24 bytes per drawn arrival, stay held between runs, and a sweep
-allocates them once.
+Last, a run with an integer seed leaves its draws in a one-place slot,
+keyed by what fixes them: the seed, config and `mode`. Every run empties the
+slot as it starts and schedules the held draws if the key matches and they
+reach its own sizes, so a decoupled run after a coupled one with the same
+seed (as `sojourn-sweep` makes at each load point) draws nothing. Nothing
+writes a held draw. Each class's draw is one block and a run's sojourns are
+another, so the allocator hands freed blocks to the next run without fresh
+pages; one run's draws, 16 bytes per drawn arrival, stay held between runs.
 """
 
 from __future__ import annotations
@@ -247,14 +246,14 @@ def run(
     Each class draws its arrivals (at the per-server rate) and service
     durations up front from its own streams of `SeedSequence(seed)`, or takes
     the previous run's draws when they fit (see the module docstring); the
-    results are the same either way. A run that returns leaves its draws and
-    sojourn buffers, ~24 bytes per drawn arrival, to the next run() in the
-    process, which schedules, redraws into or frees them. The draws, the
-    schedule and the trace come from the three members of one `_kernel()`
-    call: compiled on the first call in a process, the draw filling each
-    stream once and finishing it in place, the writer merging the run's
-    arrivals and start records without building or sorting an event array;
-    or, when no C compiler works, their bit-identical Python references
+    results are the same either way. A run with an integer seed that returns
+    leaves its draws, 16 bytes per drawn arrival, to the next run() in the
+    process, which schedules or frees them. The draws, the schedule and the
+    trace come from the three members of one `_kernel()` call: compiled on
+    the first call in a process, the draw filling each stream once and
+    finishing it in place, the writer merging the run's arrivals and start
+    records without building or sorting an event array; or, when no C
+    compiler works, their bit-identical Python references
     (with one RuntimeWarning), the draw in numpy blocks through
     `traffic.sample_long_services`.
 
@@ -269,7 +268,7 @@ def run(
     order, which yields `Packet` rows when iterated. Its columns are the
     loop's per-start records, scaled into real time, and the departures,
     views of one block of 41 bytes per start that the run allocates and
-    never holds or recycles. `trace_path` writes the event CSV
+    never holds. `trace_path` writes the event CSV
     (`time,event,class,server,queue_len_short,queue_len_long`), one row per
     arrival, start and departure, each ending in CRLF.
     """
@@ -306,19 +305,18 @@ def run(
     collect = keep_packets or bool(trace_path)
     kernel = _kernel()
     key = _draw_key(seed, config, mode)
-    draws, (spare_s, spare_l), sojourns = _take_draws(key, (n_s, n_l))
+    draws = _take_draws(key, (n_s, n_l))
     while True:
         short, long_ = draws or (
-            _draw(seqs_s, lam_s, short_service, n_s, spare_s, kernel.fill_draw),
-            _draw(seqs_l, lam_l, long_service, n_l, spare_l, kernel.fill_draw))
-        out = _Schedule(n_servers, horizon, warmup, short, long_, collect, sojourns)
-        sojourns = None  # held buffers without room are freed before the loop writes
+            _draw(seqs_s, lam_s, short_service, n_s, kernel.fill_draw),
+            _draw(seqs_l, lam_l, long_service, n_l, kernel.fill_draw))
+        out = _Schedule(n_servers, horizon, warmup, short, long_, collect)
         code = kernel.schedule(n_servers, aligned, horizon, warmup, short, long_, out)
         if code != _NEED_MORE:
             break
-        # same streams: the longer draw extends the shorter, in place if it has room
+        # same streams: the longer draw extends the shorter, which is freed first
         n_s, n_l = 2 * max(n_s, short.limit), 2 * max(n_l, long_.limit)
-        draws, spare_s, spare_l, sojourns = None, short, long_, (out.soj_s, out.soj_l)
+        draws = short = long_ = out = None
     if code == _STALLED:
         raise ValueError("vanishing traffic: time passes 2**53 slots, where whole "
                          f"slots are no longer exact, before {horizon} packets are served")
@@ -326,6 +324,8 @@ def run(
         raise RuntimeError(
             "scheduler left a server idle while a packet waited (work conservation)"
         )
+    if key is not None:
+        _draw_slot[:] = [(key, (short, long_))]
 
     n_int, t_w, t_end = out.acc.tolist()
     n_short, n_long, k_s, k_l = out.cnt.tolist()
@@ -356,8 +356,6 @@ def run(
 
     short_stats = _class_stats(out.soj_s[:k_s], slot)
     long_stats = _class_stats(out.soj_l[:k_l], slot)
-    # after the last reads of the draws and sojourns: the next run may write them
-    _draw_slot[:] = [(key, (short, long_), (out.soj_s, out.soj_l))]
     converged = all(
         cs.count == 0 or (math.isfinite(cs.ci95) and cs.ci95 <= 0.1 * cs.mean)
         for cs in (short_stats, long_stats)
@@ -427,8 +425,7 @@ class _ClassDraws:
     limit: int
 
 
-def _draw(seqs, lam: float, service, n: int, spare: _ClassDraws | None,
-          fill: Callable[..., None]) -> _ClassDraws:
+def _draw(seqs, lam: float, service, n: int, fill: Callable[..., None]) -> _ClassDraws:
     """`n` arrivals at rate `lam` with durations from `service(rng, n)` (n
     of them, or one for all), as `fill`, a kernel's `fill_draw`, writes
     them: compiled, one fill of unit exponentials per stream over the whole
@@ -436,18 +433,15 @@ def _draw(seqs, lam: float, service, n: int, spare: _ClassDraws | None,
     numpy blocks.
 
     Gaps and durations come from fresh generators on the two seed sequences
-    `seqs`, so a larger `n` extends a smaller one's arrays unchanged. They
-    go into the arrays under `spare`, a draw that no run reads any more,
-    where those have room, else into new ones, read-only once written.
+    `seqs`, so a larger `n` extends a smaller one's arrays unchanged. Both
+    arrays are the rows of one new block, read-only once written.
     """
     gaps, durations = (np.random.default_rng(s) for s in seqs)
     limit = n if lam > 0 else -1
-    size = max(limit, 0) + 1
-    arrivals = _room(spare and spare.arrivals, size)
-    services = _room(spare and spare.services, size)
+    arrivals, services = block = np.empty((2, max(limit, 0) + 1))
     arrivals[-1] = services[-1] = math.inf
     fill(gaps, durations, lam, service, arrivals[:-1], services[:-1])
-    for array in (arrivals, services, _owner(arrivals), _owner(services)):
+    for array in (arrivals, services, block):
         array.setflags(write=False)
     return _ClassDraws(arrivals, services, limit)
 
@@ -477,21 +471,9 @@ def _fill_draw(gaps: np.random.Generator, durations: np.random.Generator, lam: f
         services[lo:hi] = service(durations, hi - lo)
 
 
-def _owner(array: np.ndarray) -> np.ndarray:
-    """The array that owns `array`'s memory."""
-    return array if array.base is None else array.base
-
-
-def _room(spare: np.ndarray | None, n: int) -> np.ndarray:
-    """The first `n` elements, writable, of the array that `spare` is or
-    views, if it has that many; else a new array."""
-    if spare is None or len(owner := _owner(spare)) < n:
-        return np.empty(n)
-    owner.setflags(write=True)
-    return owner[:n]
-
-
-_draw_slot: list[tuple] = []  # at most one (key, (short, long) draws, sojourn buffers)
+# at most one (key, (short, long) draws); taking and filling it are each one
+# list operation, atomic, so threads racing for it cost at most one extra draw
+_draw_slot: list[tuple] = []
 
 
 def _draw_key(seed, config: TrafficConfig, mode: str) -> tuple | None:
@@ -506,28 +488,17 @@ def _draw_key(seed, config: TrafficConfig, mode: str) -> tuple | None:
 
 
 def _take_draws(key: tuple | None, sizes: tuple[int, int]):
-    """Empty the slot and return (draws, spare draws, spare sojourns): the
-    held draws if `key`, not None, made them and they reach `sizes`, else
-    None; then each class's held draw if it has room for `sizes`, and the
-    held sojourn buffers, which the caller may write into (None for each
-    that is not held).
-
-    A longer draw starts with the shorter one, and a pass never reads past
-    the first arrival it has not taken in, so longer draws give the same
-    results. Taking and filling the slot are each one list operation,
-    atomic, so what a run takes no other run can read or write: threads
-    racing for it cost at most one extra draw.
-    """
+    """Empty the slot; return the draws it held if `key` made them and each
+    class's is at least `sizes`, else None. A longer draw starts with the
+    shorter one, and a pass never reads past the first arrival it has not
+    taken in, so longer draws give the same results."""
     try:
-        held_key, draws, sojourns = _draw_slot.pop()
+        held_key, draws = _draw_slot.pop()
     except IndexError:
-        return None, (None, None), (None, None)
-    if key is not None and held_key == key and not any(
-            0 <= d.limit < n for d, n in zip(draws, sizes)):
-        return draws, draws, sojourns
-    # arrays without room for this run's draws are freed before it draws
-    return None, tuple(d if len(_owner(d.arrivals)) > n else None
-                       for d, n in zip(draws, sizes)), sojourns
+        return None
+    if held_key == key and not any(0 <= d.limit < n for d, n in zip(draws, sizes)):
+        return draws
+    return None
 
 
 class _Schedule:
@@ -535,19 +506,20 @@ class _Schedule:
 
     Each is sized for the most the loop can write into it: a class's
     sojourns are bounded by its draws and by the window, records by the
-    horizon. The sojourns go into the `spare` pair of arrays where they
-    have room. A collecting pass carves its five record columns and the
-    packets' departure column from one new block, 41 bytes per start with
-    every column aligned, so that a run's records come from one allocation
-    that the allocator hands to the next run when the packets are dropped.
+    horizon. The two classes' sojourns are the two parts of one new block.
+    A collecting pass carves its five record columns and the packets'
+    departure column from another, 41 bytes per start with every column
+    aligned. Each block goes back to the allocator whole, which hands it to
+    the next run without fresh pages.
     """
 
     def __init__(self, n_servers: int, horizon: int, warmup: int,
-                 short: _ClassDraws, long_: _ClassDraws, collect: bool, spare: tuple):
+                 short: _ClassDraws, long_: _ClassDraws, collect: bool):
         window = horizon - warmup
         self.busy = np.zeros(n_servers)
-        self.soj_s, self.soj_l = (_room(held, min(max(d.limit, 0), window))
-                                  for held, d in zip(spare, (short, long_)))
+        n_s, n_l = (min(max(d.limit, 0), window) for d in (short, long_))
+        sojourns = np.empty(n_s + n_l)
+        self.soj_s, self.soj_l = sojourns[:n_s], sojourns[n_s:]
         self.acc = np.zeros(3)
         self.cnt = np.zeros(4, dtype=np.int64)
         # per start: class (0 short, 1 long), arrival, duration, start, server

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import platform
 import re
 import threading
 from dataclasses import replace
@@ -148,12 +149,15 @@ class TestSojournSweep:
         assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "2000",
                      "--out", str(tmp_path / "fig3.csv")]) == 0
         assert len(draws) == 18
-        [(key, _, _)] = sim._draw_slot
+        [(key, _)] = sim._draw_slot
         assert key[0] == 12345 + 8  # the default seed of the ninth point
 
-    def test_sweep_draws_and_schedules_into_one_set_of_arrays(self, tmp_path, monkeypatch):
-        # each point draws into the arrays the previous point left, and every
-        # run writes its sojourns into the first run's buffers
+    def test_sweep_allocates_one_block_per_draw_and_per_run_sojourns(self, tmp_path,
+                                                                      monkeypatch):
+        # a class's arrivals and services are the rows of one read-only
+        # block, and a run's two sojourn buffers the parts of one, so that the
+        # allocator can hand each block on whole; the slot holds only the last
+        # point's key and draws, and a run without a seed leaves it empty
         draws, schedules = [], []
         draw, schedule = sim._draw, sim._Schedule
         monkeypatch.setattr(sim, "_draw_slot", [])
@@ -163,14 +167,36 @@ class TestSojournSweep:
         assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "20000",
                      "--out", str(tmp_path / "fig3.csv")]) == 0
         assert len(draws) == len(schedules) == 18
-        for first, *later in (draws[0::2], draws[1::2]):  # short, long
-            for d in later:
-                assert np.shares_memory(d.arrivals, first.arrivals)
-                assert np.shares_memory(d.services, first.services)
-        first, *later = schedules
-        for s in later:
-            assert np.shares_memory(s.soj_s, first.soj_s)
-            assert np.shares_memory(s.soj_l, first.soj_l)
+        for d in draws:
+            block = d.arrivals.base
+            assert d.services.base is block and block.shape == (2, len(d.arrivals))
+            assert not any(a.flags.writeable for a in (block, d.arrivals, d.services))
+        for s in schedules:
+            block = s.soj_s.base
+            assert s.soj_l.base is block and len(block) == len(s.soj_s) + len(s.soj_l)
+        [(key, held)] = sim._draw_slot
+        assert key[0] == 12345 + 8 and held[0] is draws[-2] and held[1] is draws[-1]
+        sim.run(load_scenario(FIG3_CFG).config_for(0.7), Topology.COUPLED, 2_000, seed=None)
+        assert sim._draw_slot == []
+
+    def test_warm_sweeps_take_no_fresh_pages(self, tmp_path):
+        # a run's draws, sojourns and records are a few blocks each, which
+        # glibc's allocator hands whole to the next run: a warm fig3 sweep at
+        # 200 k departures takes single-digit minor page faults, where an
+        # array per class and column took ~8,800
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("measures glibc's allocator")
+        if sim._kernel().schedule is sim._schedule_py:
+            pytest.skip("no working C compiler")  # the Python twins take ~130 k per sweep
+        import resource
+
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(["sojourn-sweep", "--config", FIG3_CFG, "--horizon", "200000",
+                         "--out", str(tmp_path / "fig3.csv")]) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[2] < 500, faults
 
     def test_longer_held_draws_are_taken(self, tmp_path, monkeypatch):
         # drawing 1.01x of each class's share, one point's coupled run runs

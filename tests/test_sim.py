@@ -299,7 +299,7 @@ class TestPacketColumns:
         packets = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=31, keep_packets=True,
                       trace_path=str(tmp_path / "first.csv")).packets
         columns = packets._columns()
-        [block] = {id(sim._owner(column)): sim._owner(column) for column in columns}.values()
+        [block] = {id(column.base): column.base for column in columns}.values()
         assert block.nbytes == 41 * 5_000
         assert [column.dtype for column in columns] == [
             np.uint8, np.float64, np.float64, np.float64, np.float64, np.int64]
@@ -1040,7 +1040,7 @@ class TestCompiledKernel:
                                         np.array([2.0, 2.0, math.inf]), 2)
             for n_servers in (1, 2):
                 for aligned in (True, False):
-                    out = sim._Schedule(n_servers, 10, 0, never, nan_first, False, (None, None))
+                    out = sim._Schedule(n_servers, 10, 0, never, nan_first, False)
                     print(schedule(n_servers, aligned, 10, 0, never, nan_first, out))
         """
         package = str(Path(sim.__file__).parents[1])
@@ -1063,7 +1063,7 @@ class TestCompiledKernel:
         shorts = sim._ClassDraws(np.array([1.0, 1.0, 1.0, 9.0, inf]) * n_servers,
                                  np.array([0.0, 1.0, 1.0, 1.0, inf]), 4)
         never = sim._ClassDraws(np.array([inf]), np.array([inf]), -1)
-        out = sim._Schedule(n_servers, 3, 0, shorts, never, True, (None, None))
+        out = sim._Schedule(n_servers, 3, 0, shorts, never, True)
         assert schedule(n_servers, False, 3, 0, shorts, never, out) == sim._DONE
         # one server starts packets 0 and 1 at t = 1, two servers start all
         # three there, the third on server 0 when the boundary runs again
@@ -1118,10 +1118,9 @@ def poison(array):
 
 
 class TestSharedDraws:
-    """A run leaves its draws and sojourn buffers to the next run(), which
-    schedules the draws when its seed, config and service mode made them and
-    they are at least its own sizes, and otherwise writes into them. Every
-    run must equal a run with nothing held, bit for bit."""
+    """A run leaves its draws to the next run(), which schedules them when
+    its seed, config and service mode made them and they are at least its
+    own sizes. Every run must equal a run with nothing held, bit for bit."""
 
     @staticmethod
     def fresh(tmp, name, **kwargs):
@@ -1155,48 +1154,31 @@ class TestSharedDraws:
         # the run's draw filler and its Python reference
         seqs = np.random.SeedSequence(seed).spawn(2)
         for fill in (sim._kernel().fill_draw, sim._fill_draw):
-            per_server = sim._draw(seqs, rate, uniform_services, n, None, fill)
-            doubled = sim._draw(seqs, 2.0 * rate, uniform_services, n, None, fill)
+            per_server = sim._draw(seqs, rate, uniform_services, n, fill)
+            doubled = sim._draw(seqs, 2.0 * rate, uniform_services, n, fill)
             halved = per_server.arrivals * 0.5
             low = (halved < sim._EXACT_SLOTS) | (doubled.arrivals < sim._EXACT_SLOTS)
             assert np.array_equal(halved[low], doubled.arrivals[low])
             assert np.array_equal(per_server.services, doubled.services)
 
     def test_draws_refuse_writes_and_outputs_copy_them(self, tmp_path, monkeypatch):
-        # the next run schedules these very arrays or writes into them:
-        # nothing else may write the draws, and nothing a run returns may
-        # view what it leaves held; seed 24 draws into seed 23's arrays
+        # the next run may schedule these very arrays: nothing may write the
+        # draws, and nothing a run returns may view a draw or its sojourns
+        schedules, schedule = [], sim._Schedule
         monkeypatch.setattr(sim, "_draw_slot", [])
-        held = []
-        for seed in (23, 24):
-            summary = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=seed,
-                          keep_packets=True, trace_path=str(tmp_path / "t.csv"))
-            [(_, draws, sojourns)] = sim._draw_slot
-            arrays = [array for d in draws for array in (d.arrivals, d.services)]
-            for array in arrays + [sim._owner(array) for array in arrays]:
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0.0
-            assert not any(np.shares_memory(column, array)
-                           for column in summary.packets._columns()
-                           for array in [*arrays, *sojourns])
-            held.append([*arrays, *sojourns])
-        assert all(np.shares_memory(a, b) for a, b in zip(*held))
-
-    def test_draws_are_handed_on_after_the_trace_reads_them(self, tmp_path, monkeypatch):
-        # a run that handed its draws on before writing its trace would read
-        # them while the next run may write them
-        kernel = sim._kernel()
-
-        def checking(*args):
-            assert sim._draw_slot == []
-            return kernel.write_trace(*args)
-
-        monkeypatch.setattr(sim, "_draw_slot", [])
-        monkeypatch.setattr(sim, "_kernel", lambda: kernel._replace(write_trace=checking))
-        for seed in (3, 3, 4):  # drawn, taken, drawn into held arrays
-            run(fig3_config(0.7), Topology.DECOUPLED, 2_000, seed=seed,
-                trace_path=str(tmp_path / "t.csv"))
-            assert len(sim._draw_slot) == 1
+        monkeypatch.setattr(sim, "_Schedule",
+                            lambda *args: schedules.append(schedule(*args)) or schedules[-1])
+        summary = run(fig3_config(0.7), Topology.DECOUPLED, 5_000, seed=23,
+                      keep_packets=True, trace_path=str(tmp_path / "t.csv"))
+        [(_, draws)] = sim._draw_slot
+        [out] = schedules
+        arrays = [array for d in draws for array in (d.arrivals, d.services)]
+        for array in arrays + [array.base for array in arrays]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert not any(np.shares_memory(column, array)
+                       for column in summary.packets._columns()
+                       for array in [*arrays, out.soj_s, out.soj_l])
 
     def test_runs_without_a_seed_never_take_held_draws(self, monkeypatch):
         # seed None draws fresh entropy: no run may schedule another's draws
@@ -1214,8 +1196,7 @@ class TestSharedDraws:
     @given(small_runs(), small_runs(), st.booleans(), st.sampled_from([None, 0.5, 1.0]))
     def test_poisoned_held_buffers_change_nothing(self, tmp_path_factory, loop, mode,
                                                   first, second, same_key, factor):
-        # a run writes every held element it reads: NaN in the held
-        # sojourns, and in the draws unless the next run may schedule them,
+        # NaN in the held draws, unless the next run may schedule them,
         # leaves its results those of a run with nothing held
         kernel = compiled_kernel() if loop == "c" else PY_KERNEL
         tmp = tmp_path_factory.mktemp("poison")
@@ -1229,11 +1210,10 @@ class TestSharedDraws:
                 expected = run_on(kernel, tmp / "fresh.csv", **second)
             with mock.patch.object(sim, "_draw_slot", []):
                 run_on(kernel, tmp / "first.csv", **first)
-                [(key, held_draws, held)] = sim._draw_slot
+                [(key, held_draws)] = sim._draw_slot
                 if key != sim._draw_key(second["seed"], second["config"], second["mode"]):
-                    held += tuple(a for d in held_draws for a in (d.arrivals, d.services))
-                for array in held:
-                    poison(sim._owner(array))
+                    for d in held_draws:
+                        poison(d.arrivals.base)
                 assert run_on(kernel, tmp / "second.csv", **second) == expected
 
     @settings(max_examples=30, deadline=None)
@@ -1261,10 +1241,10 @@ class TestSharedDraws:
         for order, got in zip(orders, results):
             assert got == [expected[topo] for topo in order]
 
-    def test_threads_drawing_into_each_others_arrays_match_serial_runs(self, tmp_path):
+    def test_threads_switching_often_match_serial_runs(self, tmp_path):
         # more threads than cores, switching often, each run on another key
-        # than the last, so that runs draw into arrays another thread left
-        # while the compiled writer reads its own without the interpreter lock
+        # than the last, so that runs free draws another thread left while
+        # the compiled writer reads its own without the interpreter lock
         jobs = [dict(config=fig3_config(0.8), topology=topo, horizon=3_000, seed=seed)
                 for seed in range(3) for topo in Topology]
         expected = [self.fresh(tmp_path, f"fresh-{j}", **job) for j, job in enumerate(jobs)]
