@@ -15,12 +15,12 @@ durations and one flag of the loop.
 A run has four steps. Each class draws its arrival times and service
 durations as read-only arrays (`_draw`), the arrivals at the config's
 per-server rate whatever the topology; a run that needs more arrivals draws
-again, at twice the size, from the same seeds. Compiled, a class's draw is
-one fill of unit exponentials per stream and one pass of `_schedule.c`'s
-finisher over each array: gaps into arrival times, SNRs into long TTIs in
-slots. The boundary loop schedules
-them, reading arrival k of an n-server run as `arrivals[k] * (1.0 / n)`,
-which is exact; each start's record carries its own arrival and duration.
+again, at twice the size, from the same seeds. A class's draw is one fill
+of unit exponentials per stream, finished in place (compiled, by one pass of
+`_schedule.c` over each array): gaps into arrival times, SNRs into long TTIs
+in slots. The boundary loop schedules them, reading arrival k of an n-server
+run as `arrivals[k] * (1.0 / n)`, which is exact; each start's record
+carries its own arrival and duration.
 Statistics, the trace and packets are then built from what the loop wrote.
 The trace is CSV rows that end in CRLF: the writer merges the arrivals,
 starts and departures, each already in time order, straight from the draws
@@ -33,19 +33,17 @@ from one block that each collecting run allocates afresh.
 
 The draw filler, the loop and the writer come as one `_Kernel` from one
 `_kernel()` call: `_schedule.c` compiled on first use, or, when no compiler
-works, the Python twins `_fill_draw` (bit-identical, which draws in numpy
-blocks and looks the long TTIs up through `traffic.sample_long_services`),
+works, the Python twins `_fill_draw` (bit-identical, finishing the arrivals
+in numpy and the long TTIs through `traffic.sample_long_services`),
 `_schedule_py` (bit-identical) and `_write_trace` (byte-identical, which
 builds and sorts the events instead of merging them).
 
-Last, a run with an integer seed leaves its draws in a one-place slot,
-keyed by what fixes them: the seed, config and `mode`. Every run empties the
-slot as it starts and schedules the held draws if the key matches and they
-reach its own sizes, so a decoupled run after a coupled one with the same
-seed (as `sojourn-sweep` makes at each load point) draws nothing. Nothing
-writes a held draw. Each class's draw is one block and a run's sojourns are
-another, so the allocator hands freed blocks to the next run without fresh
-pages; one run's draws, 16 bytes per drawn arrival, stay held between runs.
+Last, a run leaves its draws, 16 bytes per drawn arrival, in a one-place
+slot that the next run takes them from by `_take_draws`'s rule: a decoupled
+run after a coupled one with the same seed (as `sojourn-sweep` makes at each
+load point) draws nothing. Nothing writes a held draw. Each class's draw is
+one block and a run's sojourns are another, so the allocator hands freed
+blocks to the next run without fresh pages.
 """
 
 from __future__ import annotations
@@ -210,8 +208,7 @@ def _class_stats(data: np.ndarray, scale: float) -> ClassStats:
     n = len(data)
     if n == 0:
         return ClassStats(0, math.nan, math.nan)
-    if scale != 1.0:  # x * 1.0 == x
-        data *= scale
+    data *= scale
     mean = float(data.mean())
     if n >= N_BATCHES:
         per = n // N_BATCHES
@@ -243,19 +240,14 @@ def run(
     seed) yields identical summaries. Traffic that is zero, or so sparse that
     time passes 2**53 slots before `horizon` starts, raises ValueError.
 
-    Each class draws its arrivals (at the per-server rate) and service
-    durations up front from its own streams of `SeedSequence(seed)`, or takes
-    the previous run's draws when they fit (see the module docstring); the
-    results are the same either way. A run with an integer seed that returns
-    leaves its draws, 16 bytes per drawn arrival, to the next run() in the
-    process, which schedules or frees them. The draws, the schedule and the
-    trace come from the three members of one `_kernel()` call: compiled on
-    the first call in a process, the draw filling each stream once and
-    finishing it in place, the writer merging the run's arrivals and start
-    records without building or sorting an event array; or, when no C
-    compiler works, their bit-identical Python references
-    (with one RuntimeWarning), the draw in numpy blocks through
-    `traffic.sample_long_services`.
+    `seed` is one integer; any other seed raises TypeError. Each class draws
+    its arrivals (at the per-server rate) and service durations up front from
+    its own streams of `SeedSequence(seed)`, or takes the previous run's
+    draws by `_take_draws`'s rule, with the same results. The draws, the
+    schedule and the trace come from one `_kernel()` call (see the module
+    docstring): compiled on the first call in a process or, with one
+    RuntimeWarning when no C compiler works, their bit-identical Python
+    references.
 
     `mode="aligned"` is the model above. `mode="unaligned"` lets service
     start the moment a server and packet are both available;
@@ -264,13 +256,10 @@ def run(
     checks only; any other mode raises ValueError.
 
     `keep_packets=True` returns every served packet, warmup included, as
-    `summary.packets`: a `PacketColumns` record of read-only arrays in start
-    order, which yields `Packet` rows when iterated. Its columns are the
-    loop's per-start records, scaled into real time, and the departures,
-    views of one block of 41 bytes per start that the run allocates and
-    never holds. `trace_path` writes the event CSV
-    (`time,event,class,server,queue_len_short,queue_len_long`), one row per
-    arrival, start and departure, each ending in CRLF.
+    `summary.packets`, a `PacketColumns` record of read-only columns in start
+    order, in real time, that the run never holds. `trace_path` writes the
+    event CSV (`time,event,class,server,queue_len_short,queue_len_long`), one
+    row per arrival, start and departure, each ending in CRLF.
     """
     if warmup is None:
         warmup = horizon // 10
@@ -280,6 +269,7 @@ def run(
         raise ValueError("horizon must exceed warmup")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {', '.join(map(repr, _MODES))}, got {mode!r}")
+    seed = operator.index(seed)
     aligned = mode == "aligned"
     n_servers = topology.n_servers
     slot = config.slot
@@ -304,8 +294,8 @@ def run(
     n_s, n_l = _initial_draws(horizon, share_s), _initial_draws(horizon, 1.0 - share_s)
     collect = keep_packets or bool(trace_path)
     kernel = _kernel()
-    key = _draw_key(seed, config, mode)
-    draws = _take_draws(key, (n_s, n_l))
+    key = (seed, config, mode)
+    draws = _take_draws(key)
     while True:
         short, long_ = draws or (
             _draw(seqs_s, lam_s, short_service, n_s, kernel.fill_draw),
@@ -324,8 +314,7 @@ def run(
         raise RuntimeError(
             "scheduler left a server idle while a packet waited (work conservation)"
         )
-    if key is not None:
-        _draw_slot[:] = [(key, (short, long_))]
+    _draw_slot[:] = [(key, (short, long_))]
 
     n_int, t_w, t_end = out.acc.tolist()
     n_short, n_long, k_s, k_l = out.cnt.tolist()
@@ -428,9 +417,7 @@ class _ClassDraws:
 def _draw(seqs, lam: float, service, n: int, fill: Callable[..., None]) -> _ClassDraws:
     """`n` arrivals at rate `lam` with durations from `service(rng, n)` (n
     of them, or one for all), as `fill`, a kernel's `fill_draw`, writes
-    them: compiled, one fill of unit exponentials per stream over the whole
-    class and one pass of the finisher over each array; else `_fill_draw`'s
-    numpy blocks.
+    them.
 
     Gaps and durations come from fresh generators on the two seed sequences
     `seqs`, so a larger `n` extends a smaller one's arrays unchanged. Both
@@ -450,25 +437,16 @@ def _fill_draw(gaps: np.random.Generator, durations: np.random.Generator, lam: f
                service, arrivals: np.ndarray, services: np.ndarray) -> None:
     """Write a class's arrival times at rate `lam` into `arrivals`, from unit
     exponential gaps, and its service durations `service(rng, n)` into
-    `services`, from the two generators.
-
-    The reference for the compiled `fill_draw`, which fills each array in
-    one pass and finishes it in `_schedule.c`; run() uses it when no
-    compiler works. This draws in blocks, so that temporaries stay small
-    next to the arrays.
+    `services`, from the two generators: the compiled `fill_draw`'s fills,
+    finished by numpy where `_schedule.c` finishes them. Its reference, and
+    run()'s draw when no compiler works.
     """
-    limit = len(arrivals)
-    for lo in range(0, limit, _DRAW_BLOCK):
-        hi = min(lo + _DRAW_BLOCK, limit)
-        times = arrivals[lo:hi]
-        gaps.standard_exponential(out=times)
-        # a vanishing rate overflows to +inf gaps: that class never arrives
-        with np.errstate(over="ignore"):
-            times /= lam
-            if lo:
-                times[0] += arrivals[lo - 1]
-            np.cumsum(times, out=times)
-        services[lo:hi] = service(durations, hi - lo)
+    gaps.standard_exponential(out=arrivals)
+    # a vanishing rate overflows to +inf gaps: that class never arrives
+    with np.errstate(over="ignore"):
+        arrivals /= lam
+        np.cumsum(arrivals, out=arrivals)
+    services[:] = service(durations, len(services))
 
 
 # at most one (key, (short, long) draws); taking and filling it are each one
@@ -476,29 +454,18 @@ def _fill_draw(gaps: np.random.Generator, durations: np.random.Generator, lam: f
 _draw_slot: list[tuple] = []
 
 
-def _draw_key(seed, config: TrafficConfig, mode: str) -> tuple | None:
-    """What fixes a run's draws besides their sizes; None for a seed that is
-    not one integer (None draws fresh entropy), whose draws are never
-    shared."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        return None
-    return (seed, config, mode)
-
-
-def _take_draws(key: tuple | None, sizes: tuple[int, int]):
-    """Empty the slot; return the draws it held if `key` made them and each
-    class's is at least `sizes`, else None. A longer draw starts with the
-    shorter one, and a pass never reads past the first arrival it has not
-    taken in, so longer draws give the same results."""
+def _take_draws(key: tuple):
+    """The hand-off rule: empty the slot; return the draws it held if `key`,
+    a run's (seed, config, mode), made them, whatever their size, else None.
+    Draws of one key differ only in length, each a prefix of any longer one
+    (`_draw`); a pass reads no arrival past the first it has not taken in,
+    and one that runs out draws again at twice the size, so every size
+    gives the same results."""
     try:
         held_key, draws = _draw_slot.pop()
     except IndexError:
         return None
-    if held_key == key and not any(0 <= d.limit < n for d, n in zip(draws, sizes)):
-        return draws
-    return None
+    return draws if held_key == key else None
 
 
 class _Schedule:
@@ -533,7 +500,6 @@ class _Schedule:
             self.records = (block[40 * horizon:], arrival, duration, start, server)
 
 
-_DRAW_BLOCK = 16384
 _DONE, _NEED_MORE, _BREACH, _STALLED = 0, 1, 2, 3  # scheduler return codes, as in _schedule.c
 _EXACT_SLOTS = 2.0**53  # above it a double no longer holds every whole number of slots
 _SOURCE = Path(__file__).with_name("_schedule.c")
@@ -760,9 +726,8 @@ def _packet_columns(records: tuple, departure: np.ndarray, scale: float) -> Pack
     after this."""
     cls, arrival, duration, start, server = records
     np.add(start, duration, out=departure)
-    if scale != 1.0:  # x * 1.0 == x
-        for column in (arrival, duration, start, departure):
-            column *= scale
+    for column in (arrival, duration, start, departure):
+        column *= scale
     return PacketColumns(cls, arrival, duration, start, departure, server)
 
 

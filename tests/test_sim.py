@@ -322,7 +322,47 @@ class TestPacketColumns:
         assert packets_coupled != 5  # __eq__ defers to the other operand
 
 
+def class_arrival_z(packets, config, n_servers, warmup):
+    """Per class, the z score of the records whose arrival lies in the
+    window, from the start of record `warmup` to the last start, against
+    their Poisson mean, n_servers * lambda_c * the window's length."""
+    t_w, t_end = packets.start_time[warmup], packets.start_time[-1]
+    inside = (packets.arrival_time > t_w) & (packets.arrival_time <= t_end)
+    z = []
+    for code, lam in enumerate((config.lambda_short, config.lambda_long)):
+        count = np.count_nonzero(inside & (packets.class_code == code))
+        expected = n_servers * lam * (t_end - t_w)
+        z.append((count - expected) / math.sqrt(expected))
+    return z
+
+
 class TestConservation:
+    # 400 k departures: at 200 k a long class 1% sparse read z = -2.88 (seed 2)
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+    def test_each_class_arrives_at_its_rate(self, topology):
+        config = fig3_config(0.7)
+        s = run(config, topology, 400_000, seed=1, keep_packets=True)
+        z = class_arrival_z(s.packets, config, topology.n_servers, 40_000)
+        assert max(map(abs, z)) <= 3, z
+
+    def test_class_rate_check_catches_sparse_long_arrivals(self, monkeypatch):
+        # the decoupled run's long arrivals 1% sparse: a load ~1% low, which
+        # the busy-fraction tolerance of 0.01 lets through
+        draw = sim._draw
+
+        def sparse_long(seqs, lam, service, n, fill):
+            d = draw(seqs, lam, service, n, fill)
+            if isinstance(service, sim._TableTTIs):
+                d = sim._ClassDraws(d.arrivals * 1.01, d.services, d.limit)
+            return d
+
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        monkeypatch.setattr(sim, "_draw", sparse_long)
+        config = fig3_config(0.7)
+        s = run(config, Topology.DECOUPLED, 400_000, seed=1, keep_packets=True)
+        z_short, z_long = class_arrival_z(s.packets, config, 2, 40_000)
+        assert abs(z_short) <= 3 and z_long < -3, (z_short, z_long)
+
     def test_little_and_busy_coupled(self):
         s = run(fig3_config(0.7), Topology.COUPLED, 220_000, 20_000, seed=3)
         assert s.little_residual < 0.01
@@ -886,8 +926,8 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("lam", [1.0, 0.7, 3.0, 1e-307], ids=str)
     def test_draw_finisher_sums_arrivals_as_numpy(self, lam):
         # gaps divided by the rate, then summed in order (at 1e-307 they
-        # overflow to +inf); more than one of the reference's blocks
-        units = np.random.default_rng(7).standard_exponential(2 * sim._DRAW_BLOCK + 5)
+        # overflow to +inf)
+        units = np.random.default_rng(7).standard_exponential(32_773)
         units[:3] = (0.0, 5e-324, 1.0)
         with np.errstate(over="ignore"):
             want = np.cumsum(units / lam)
@@ -918,10 +958,9 @@ class TestCompiledKernel:
         expected = {topology: run_on(compiled_kernel(), tmp_path / "ref.csv", **kwargs)
                     for topology, kwargs in jobs.items()}
         monkeypatch.setattr(sim, "_initial_draws", lambda horizon, share: 1)
-        monkeypatch.setattr(sim, "_DRAW_BLOCK", 7)
         for topology, kwargs in jobs.items():
             for name, kernel in (("c", compiled_kernel()), ("py", PY_KERNEL)):
-                monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held that would fit
+                monkeypatch.setattr(sim, "_draw_slot", [])  # nothing held
                 calls = []
 
                 def counting(*args, schedule=kernel.schedule):
@@ -1119,8 +1158,8 @@ def poison(array):
 
 class TestSharedDraws:
     """A run leaves its draws to the next run(), which schedules them when
-    its seed, config and service mode made them and they are at least its
-    own sizes. Every run must equal a run with nothing held, bit for bit."""
+    its seed, config and service mode made them, whatever their sizes. Every
+    run must equal a run with nothing held, bit for bit."""
 
     @staticmethod
     def fresh(tmp, name, **kwargs):
@@ -1180,15 +1219,21 @@ class TestSharedDraws:
                        for column in summary.packets._columns()
                        for array in [*arrays, out.soj_s, out.soj_l])
 
-    def test_runs_without_a_seed_never_take_held_draws(self, monkeypatch):
-        # seed None draws fresh entropy: no run may schedule another's draws
+    def test_a_seed_is_one_integer(self, monkeypatch):
+        # any other seed raises before a draw, leaving the held draws as they
+        # were; an integer of another type is that integer's key
+        kwargs = dict(config=fig3_config(0.7), topology=Topology.COUPLED, horizon=2_000)
         monkeypatch.setattr(sim, "_draw_slot", [])
+        expected = run(seed=5, keep_packets=True, **kwargs)
+        [held] = sim._draw_slot
         draws, draw = [], sim._draw
         monkeypatch.setattr(sim, "_draw", lambda *args: draws.append(args) or draw(*args))
-        summaries = [run(fig3_config(0.7), Topology.COUPLED, 2_000, seed=None,
-                         keep_packets=True) for _ in range(2)]
-        assert len(draws) == 4
-        assert summaries[0].packets != summaries[1].packets
+        for seed in (None, 1.5, [1, 2]):
+            with pytest.raises(TypeError):
+                run(seed=seed, **kwargs)
+            assert draws == [] and len(sim._draw_slot) == 1 and sim._draw_slot[0] is held
+        assert run(seed=np.int64(5), keep_packets=True, **kwargs) == expected
+        assert draws == []  # it took seed 5's draws
 
     @pytest.mark.parametrize("loop", ["c", "py"])
     @pytest.mark.parametrize("mode", ["aligned", "exponential"])
@@ -1211,7 +1256,7 @@ class TestSharedDraws:
             with mock.patch.object(sim, "_draw_slot", []):
                 run_on(kernel, tmp / "first.csv", **first)
                 [(key, held_draws)] = sim._draw_slot
-                if key != sim._draw_key(second["seed"], second["config"], second["mode"]):
+                if key != (second["seed"], second["config"], second["mode"]):
                     for d in held_draws:
                         poison(d.arrivals.base)
                 assert run_on(kernel, tmp / "second.csv", **second) == expected
@@ -1270,6 +1315,34 @@ class TestSharedDraws:
         for got in results:
             assert len(got) == 2 * len(jobs)
             assert all(result == expected[j] for j, result in got)
+
+    def test_shorter_held_draws_are_taken_and_drawn_again(self, tmp_path, monkeypatch):
+        # a 20 k run takes a 2 k run's draws of its key, runs out of them and
+        # draws once, at twice its own initial sizes
+        config = fig3_config(0.7)
+        kwargs = dict(config=config, topology=Topology.DECOUPLED, seed=6)
+        expected = self.fresh(tmp_path, "fresh", horizon=20_000, **kwargs)
+        monkeypatch.setattr(sim, "_draw_slot", [])
+        run(horizon=2_000, **kwargs)
+        sizes, passes = [], []
+        draw, kernel = sim._draw, sim._kernel()
+
+        def counting_draw(*args):
+            sizes.append(args[3])
+            return draw(*args)
+
+        def counting_schedule(*args):
+            passes.append(1)
+            return kernel.schedule(*args)
+
+        monkeypatch.setattr(sim, "_draw", counting_draw)
+        got = run_on(kernel._replace(schedule=counting_schedule), tmp_path / "got.csv",
+                     horizon=20_000, **kwargs)
+        lam_s, lam_l = config.lambda_short * config.slot, config.lambda_long * config.slot
+        share = lam_s / (lam_s + lam_l)  # as run() computes it
+        initial = [sim._initial_draws(20_000, share), sim._initial_draws(20_000, 1.0 - share)]
+        assert got == expected
+        assert len(passes) == 2 and sizes == [2 * n for n in initial]
 
     def test_draws_that_run_short_are_drawn_again(self, tmp_path, monkeypatch):
         # with 2431 long arrivals drawn, the coupled run (seed 0) finishes
