@@ -66,7 +66,11 @@
  * another in fixed notation (1e-4 to 1e9) from one 128-bit multiply and
  * shift, and any other through snprintf. Digits come two at a time from a
  * table of the pairs 00 to 99; a one-digit count or server is written
- * directly. A row adds 1 to its class's queue count on arrival,
+ * directly. A start or departure whose time has the bits of the last one
+ * this call formatted copies that row's time. A row whose server (or none)
+ * and counts are single digits copies its whole tail, from the event on,
+ * from a table that tddq_trace_init fills: the caller makes that call once,
+ * before any merge. A row adds 1 to its class's queue count on arrival,
  * takes 1 on start, and prints both counts after. The return value is the
  * bytes written, 0 once every stream is done, or -1 for a class above 1, a
  * server outside [0, n_servers), or a time below the last row's, which
@@ -256,7 +260,11 @@ void tddq_long_ttis(double *u, long long n, double mean_snr,
 
 /* The longest row: a "%.9g" time ("-1.23456789e-308", 16), "arrival" (7),
  * "short" (5), a server and two counts (20 each, "-9223372036854775808"),
- * 5 commas and CRLF */
+ * 5 commas and CRLF. The merge's fixed-size copies write past a field's end,
+ * yet stay in the buffer: row i of a call starts at most i * TDDQ_ROW_BYTES
+ * bytes in, and each copy ends within TDDQ_ROW_BYTES of its row's start. A
+ * repeated time copies 16 bytes, the longest time's length; a time and a
+ * whole tail table entry take at most 16 + 24 = 40. */
 #define TDDQ_ROW_BYTES 95
 
 __extension__ typedef unsigned __int128 tddq_u128;
@@ -275,13 +283,15 @@ static const char tddq_pairs[201] =
     "8081828384858687888990919293949596979899";
 
 /* u's decimal digits, two at a time from the pair table; returns the length
- * (at most 20) */
+ * (at most 20). A number of b bits has floor(b log10 2) digits or one more:
+ * 1233 / 2^12 is log10 2 closely enough for b <= 64, and u | 1 has the
+ * digits of u, 0 included, since no power of ten above 1 is odd. */
 static int tddq_format_u(char *p, unsigned long long u)
 {
-    int len = 1;
+    const unsigned long long v = u | 1;
+    int len = ((64 - __builtin_clzll(v)) * 1233) >> 12;
     char *q;
-    while (len < 20 && u >= tddq_pow10[len])
-        len++;
+    len += v >= tddq_pow10[len];
     q = p + len;
     while (u >= 100) {
         q -= 2;
@@ -395,6 +405,50 @@ static int tddq_format_ll(char *p, long long v)
  * number also picks the event's label */
 enum { TDDQ_DEPART = 0, TDDQ_ARRIVAL = 1, TDDQ_START = 2 };
 
+/* ",event,class," per event and class, and its length */
+static const char *const tddq_labels[3][2] = {
+    [TDDQ_DEPART] = {",depart,short,", ",depart,long,"},
+    [TDDQ_ARRIVAL] = {",arrival,short,", ",arrival,long,"},
+    [TDDQ_START] = {",start,short,", ",start,long,"},
+};
+static const size_t tddq_label_len[3][2] = {
+    [TDDQ_DEPART] = {14, 13}, [TDDQ_ARRIVAL] = {15, 14}, [TDDQ_START] = {13, 12},
+};
+
+/* The tail of a row whose server (or none) and both counts are single
+ * digits, ",event,class,server,q_s,q_l" and CRLF: at most 21 bytes, then its
+ * length in the last byte. A row takes it with one copy of the whole entry,
+ * past the tail's end but inside the row's bytes (see TDDQ_ROW_BYTES).
+ * Entry [cell][10 q_s + q_l]; cells 0 and 1 are the short and long
+ * arrivals, then 10 servers each of depart short, depart long, start short
+ * and start long, so that rank and class give cell 2 + 10 (rank + class) +
+ * server for a start or a departure. */
+typedef struct {
+    char text[23];
+    unsigned char len;
+} tddq_tail;
+
+static tddq_tail tddq_tails[42][100];
+
+/* Fills tddq_tails. Its caller makes it once, as it loads the library and
+ * before any merge: the merge only reads the table, so calls on several
+ * threads at once are safe. */
+void tddq_trace_init(void)
+{
+    int cell, q;
+    for (cell = 0; cell < 42; cell++) {
+        const int group = (cell - 2) / 10; /* rank + class, for cells from 2 */
+        const int rank = cell < 2 ? TDDQ_ARRIVAL : group < 2 ? TDDQ_DEPART : TDDQ_START;
+        const int cls = cell < 2 ? cell : group % 2;
+        const char server[2] = {cell < 2 ? '\0' : (char)('0' + (cell - 2) % 10), '\0'};
+        for (q = 0; q < 100; q++) {
+            tddq_tail *tail = &tddq_tails[cell][q];
+            tail->len = (unsigned char)snprintf(tail->text, sizeof tail->text, "%s%s,%d,%d\r\n",
+                                                tddq_labels[rank][cls], server, q / 10, q % 10);
+        }
+    }
+}
+
 /* state[]: the queue counts, rows so far and the last row's time (its
  * bits), then one cursor per stream */
 enum { TDDQ_QUEUE_SHORT, TDDQ_QUEUE_LONG, TDDQ_ROWS, TDDQ_LAST_TIME, TDDQ_CURSORS };
@@ -416,8 +470,9 @@ typedef struct {
 /* The head of stream s (0 short arrivals, 1 long arrivals, 2 starts, 3 + j
  * server j's departures) at its cursor, which a departure stream first
  * moves onto its server's next record. */
-static void tddq_head(const tddq_trace_in *in, long long s, long long *cursor,
-                      double *time, unsigned long long *key)
+static inline __attribute__((always_inline)) void
+tddq_head(const tddq_trace_in *in, long long s, long long *cursor,
+          double *time, unsigned long long *key)
 {
     long long k = cursor[s];
     if (s < 2 && k < in->n_arr[s]) {
@@ -451,15 +506,6 @@ long long tddq_trace_merge(long long n_servers, double scale,
                            const double *rec_start, const long long *rec_srv, long long n_rec,
                            long long max_rows, long long *state, char *buf)
 {
-    /* ",event,class," per event and class, and its length */
-    static const char *const labels[3][2] = {
-        [TDDQ_DEPART] = {",depart,short,", ",depart,long,"},
-        [TDDQ_ARRIVAL] = {",arrival,short,", ",arrival,long,"},
-        [TDDQ_START] = {",start,short,", ",start,long,"},
-    };
-    static const size_t label_len[3][2] = {
-        [TDDQ_DEPART] = {14, 13}, [TDDQ_ARRIVAL] = {15, 14}, [TDDQ_START] = {13, 12},
-    };
     const tddq_trace_in in = {{arr_s, arr_l}, {n_s, n_l}, rec_dur, rec_start, rec_srv,
                               n_rec, 1.0 / (double)n_servers};
     const long long n_streams = 3 + (n_servers > 0 ? n_servers : 0);
@@ -467,8 +513,10 @@ long long tddq_trace_merge(long long n_servers, double scale,
     long long queue[2] = {state[TDDQ_QUEUE_SHORT], state[TDDQ_QUEUE_LONG]};
     long long rows = state[TDDQ_ROWS], end = rows + max_rows, s, best;
     double head_time[n_streams], last;
-    unsigned long long head_key[n_streams];
+    unsigned long long head_key[n_streams], time_bits = 0;
     char *p = buf;
+    const char *time_text = NULL; /* the time of this call's last start or departure formatted */
+    int time_len = 0;
 
     if (n_servers < 1)
         return -1;
@@ -479,7 +527,7 @@ long long tddq_trace_merge(long long n_servers, double scale,
     for (; rows < end; rows++) {
         long long k, srv = -1;
         int rank, cls;
-        double t;
+        double t, x;
 
         best = 0;
         for (s = 1; s < n_streams; s++)
@@ -508,9 +556,35 @@ long long tddq_trace_merge(long long n_servers, double scale,
         tddq_head(&in, best, cursor, &head_time[best], &head_key[best]);
         last = t;
 
-        p += tddq_format_g9(p, t * scale);
-        memcpy(p, labels[rank][cls], label_len[rank][cls]);
-        p += label_len[rank][cls];
+        /* a start or departure whose time has the bits of the last one
+         * formatted copies that row's time: at least 20 bytes back, so the 16
+         * bytes do not overlap. Bits, not ==, so that -0 and 0 stay apart.
+         * Arrival times are drawn, so they rarely repeat: checking them too
+         * gained nothing */
+        x = t * scale;
+        if (best < 2) {
+            p += tddq_format_g9(p, x);
+        } else {
+            unsigned long long bits;
+            memcpy(&bits, &x, sizeof bits);
+            if (time_text && bits == time_bits) {
+                memcpy(p, time_text, 16);
+            } else {
+                time_text = p;
+                time_bits = bits;
+                time_len = tddq_format_g9(p, x);
+            }
+            p += time_len;
+        }
+        if (srv < 10 && (unsigned long long)queue[0] < 10 && (unsigned long long)queue[1] < 10) {
+            const tddq_tail *tail =
+                &tddq_tails[srv < 0 ? cls : 2 + 10 * (rank + cls) + srv][10 * queue[0] + queue[1]];
+            memcpy(p, tail, sizeof *tail);
+            p += tail->len;
+            continue;
+        }
+        memcpy(p, tddq_labels[rank][cls], tddq_label_len[rank][cls]);
+        p += tddq_label_len[rank][cls];
         if (srv >= 0)
             p += tddq_format_ll(p, srv);
         *p++ = ',';

@@ -564,6 +564,12 @@ def _build_kernel() -> _Kernel:
     ttis_fn = lib.tddq_long_ttis
     ttis_fn.argtypes = [ptr, i64, ctypes.c_double, ptr, i64, ptr]
     ttis_fn.restype = None
+    # the merge's table of row tails, filled here under _KERNEL_LOCK: never
+    # from a merge, which runs without the GIL
+    init_fn = lib.tddq_trace_init
+    init_fn.argtypes = []
+    init_fn.restype = None
+    init_fn()
 
     # arrays go in as their data addresses, plain ints (None passes NULL):
     # passing an array's `.ctypes` makes objects in a reference cycle, which

@@ -628,17 +628,26 @@ def g9_probes():
 
 _RAMP = np.arange(1.0, 251.0)
 # trace writer inputs (short and long arrivals, records, servers) whose
-# counts and servers take more digits than `trace_inputs` draws
+# counts and servers take more digits than `trace_inputs` draws, or whose
+# equal times differ in sign, which it never draws
 WIDE_TRACES = {
     # 250 short arrivals before any start: the short count climbs to 250
     "count-up": (_RAMP, np.empty(0), (np.zeros(250, np.uint8), np.ones(250), _RAMP + 250,
                                       np.zeros(250, np.int64)), 1),
+    # the same for the long count
+    "long-count-up": (np.empty(0), _RAMP, (np.ones(250, np.uint8), np.ones(250), _RAMP + 250,
+                                           np.zeros(250, np.int64)), 1),
     # 250 starts and no arrival: the short count falls to -250
     "count-down": (np.empty(0), np.empty(0), (np.zeros(250, np.uint8), np.ones(250), _RAMP,
                                               np.zeros(250, np.int64)), 1),
     # 12 servers, one long start on each, the last on server 11
     "twelve-servers": (np.empty(0), 12 * _RAMP[:12], (np.ones(12, np.uint8), np.full(12, 3.5),
                                                        _RAMP[:12], np.arange(12)), 12),
+    # an arrival at -0 and zero-length services started at 0 and at -0: both
+    # departures at 0, then the arrival at -0, the start at 0, the start at -0
+    "signed-zeros": (np.array([-0.0]), np.empty(0),
+                     (np.zeros(2, np.uint8), np.zeros(2), np.array([0.0, -0.0]),
+                      np.zeros(2, np.int64)), 1),
 }
 
 
@@ -715,12 +724,16 @@ class TestTrace:
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     @pytest.mark.parametrize("name", sorted(WIDE_TRACES))
-    def test_writer_matches_reference_on_wide_fields(self, tmp_path, name, scale):
+    def test_writer_matches_reference_on_wide_fields(self, tmp_path, monkeypatch, name, scale):
         inputs = WIDE_TRACES[name]
         reference_write_trace(str(tmp_path / "ref.csv"), *inputs, scale)
-        for writer in ("py", "c"):  # the Python writer is checked even without a compiler
-            trace_writer(writer)(str(tmp_path / f"{writer}.csv"), *inputs, scale)
-            assert (tmp_path / f"{writer}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # chunks of 7 rows too, which end inside runs of equal times
+        for chunk in (sim._CHUNK, 7):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            for writer in ("py", "c"):  # the Python writer is checked even without a compiler
+                trace_writer(writer)(str(tmp_path / f"{writer}.csv"), *inputs, scale)
+                assert ((tmp_path / f"{writer}.csv").read_bytes()
+                        == (tmp_path / "ref.csv").read_bytes()), (writer, chunk)
 
     @pytest.mark.parametrize("writer", ["c", "py"])
     @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
@@ -737,6 +750,13 @@ class TestTrace:
                        **kwargs)
         assert traced.packets == untraced.packets
         assert packets_digest(traced.packets) == packet_digest
+
+    @pytest.mark.parametrize("writer", ["c", "py"])
+    def test_trace_digest_holds_in_short_chunks(self, tmp_path, monkeypatch, writer):
+        # chunks of 7 rows end inside runs of equal times, whose repeats the
+        # compiled writer copies from an earlier row of the same chunk
+        monkeypatch.setattr(sim, "_CHUNK", 7)
+        self.test_trace_matches_recorded_digest(tmp_path, monkeypatch, writer, "fig3-rho0.7")
 
     def test_compiled_writer_streams(self, tmp_path, monkeypatch):
         # what the writer allocates is its row buffer, however long the trace;
