@@ -19,12 +19,17 @@
  * The arrivals are drawn at the per-server rate, so arrival k of an
  * n-server run reads as arr_x[k] * (1.0 / n), which is exact for n = 1, 2.
  *
- * Its outputs: busy[n_servers]; the windowed sojourns soj_s/soj_l, in start
- * order; acc = {integral of N(t), window open, window close};
- * cnt = {shorts queued, longs queued, short sojourns, long sojourns}, where
- * a class's packets queued by the last boundary are exactly its arrivals up
- * to it; and, when rec_cls is not NULL, one record per start in start order
- * (class 0 short / 1 long, arrival, service duration, start, server).
+ * Its outputs, each window quantity booked once: busy[n_servers], each
+ * server's busy time in the window; the windowed sojourns soj_s/soj_l, in
+ * start order; acc = {integral of N(t), window open, window close}, the
+ * integral summed as each windowed start's queue time t - max(arrival, open),
+ * then at the close each server's busy time and each packet still queued's
+ * time in queue; cnt = {shorts queued, longs queued, short sojourns, long
+ * sojourns, window arrivals}, where a class's packets queued by the last
+ * boundary are exactly its arrivals up to it, and the window's arrivals are
+ * those taken in after the opening start's boundary; and, when rec_cls is
+ * not NULL, one record per start in start order (class 0 short / 1 long,
+ * arrival, service duration, start, server).
  *
  * tddq_arrival_times and tddq_long_ttis finish a class's draw in place, as
  * `tddq.sim._fill_draw` does in numpy blocks, with the same operations in
@@ -65,8 +70,8 @@
  * empty on arrivals. A whole-number time below 1e9 prints as its integer,
  * another in fixed notation (1e-4 to 1e9) from one 128-bit multiply and
  * shift, and any other through snprintf. Digits come two at a time from a
- * table of the pairs 00 to 99; a one-digit count or server is written
- * directly. A start or departure whose time has the bits of the last one
+ * table of the pairs 00 to 99.
+ * A start or departure whose time has the bits of the last one
  * this call formatted copies that row's time. A row whose server (or none)
  * and counts are single digits copies its whole tail, from the event on,
  * from a table that tddq_trace_init fills: the caller makes that call once,
@@ -97,9 +102,8 @@ tddq_schedule_n(const long long n_servers, const int aligned, long long horizon,
     double free_[n_servers];
     long long ns = 0, nl = 0; /* arrivals taken into the queues */
     long long hs = 0, hl = 0; /* queue heads: the queues are [hs, ns) and [hl, nl) */
-    long long started = 0, k_s = 0, k_l = 0;
+    long long started = 0, k_s = 0, k_l = 0, opened = 0;
     double n_int = 0.0, t_w = 0.0, t = 0.0;
-    int warm = 0;
     const double per_server = 1.0 / (double)n_servers;
     long long i, j, j2;
 
@@ -152,22 +156,19 @@ tddq_schedule_n(const long long n_servers, const int aligned, long long horizon,
                 break;
             }
             if (started == warmup) {
-                /* window opens at this start; credit in-flight remainders */
+                /* window opens at this start: credit in-flight remainders,
+                 * and note the arrivals taken in before it */
                 t_w = t;
-                warm = 1;
-                for (j2 = 0; j2 < n_servers; j2++) {
-                    double over = free_[j2] - t_w;
-                    if (over > 0) {
-                        busy[j2] += over;
-                        n_int += over;
-                    }
-                }
+                opened = ns + nl;
+                for (j2 = 0; j2 < n_servers; j2++)
+                    if (free_[j2] > t_w)
+                        busy[j2] += free_[j2] - t_w;
             }
             dep = t + dur;
             free_[j] = dep;
-            if (warm) {
+            if (started >= warmup) {
                 busy[j] += dur;
-                n_int += dep - (arr > t_w ? arr : t_w);
+                n_int += t - (arr > t_w ? arr : t_w);
                 if (cls == 0)
                     soj_s[k_s++] = dep - arr;
                 else
@@ -196,13 +197,12 @@ tddq_schedule_n(const long long n_servers, const int aligned, long long horizon,
                     return TDDQ_BREACH;
     }
 
-    /* close the window at the last start */
+    /* close the window at the last start; N(t) integrates to the queue
+     * times plus each server's busy time */
     for (j = 0; j < n_servers; j++) {
-        double over = free_[j] - t;
-        if (over > 0) {
-            busy[j] -= over;
-            n_int -= over;
-        }
+        if (free_[j] > t)
+            busy[j] -= free_[j] - t;
+        n_int += busy[j];
     }
     for (i = hs; i < ns; i++)
         n_int += t - fmax(arr_s[i] * per_server, t_w);
@@ -216,6 +216,7 @@ tddq_schedule_n(const long long n_servers, const int aligned, long long horizon,
     cnt[1] = nl;
     cnt[2] = k_s;
     cnt[3] = k_l;
+    cnt[4] = ns + nl - opened;
     return TDDQ_DONE;
 }
 
@@ -332,50 +333,49 @@ static int tddq_format_g9(char *p, double x)
         /* 2^(e2-1) <= x < 2^e2, so X is floor((e2-1) log10 2) or one more
          * (78913 / 2^18 is log10 2 closely enough for |e2| < 1650, and the
          * offset of 100 keeps the shifted value positive); x >= 10^(X+1)
-         * exactly when m * 10^(8-(X+1)) >= 10^8 * 2^s */
+         * exactly when m * 10^(8-(X+1)) >= 10^8 * 2^s. Then X >= -4, as
+         * the double 1e-4 is above 10^-4 */
         e2 = 53 - s;
         X = (((e2 - 1) * 78913 + (100 << 18)) >> 18) - 100;
         if (X < 8 && (tddq_u128)m * tddq_pow10[7 - X] >= ((tddq_u128)tddq_pow10[8] << s))
             X++;
-        if (X >= -4) {
-            prod = (tddq_u128)m * tddq_pow10[8 - X];
-            digits = prod >> s;
-            rem = prod - (digits << s);
-            half = (tddq_u128)1 << (s - 1);
-            if (rem > half || (rem == half && (digits & 1)))
-                digits++;
-            if (digits == tddq_pow10[9]) { /* 9.999999995e(X) carries to 1e(X+1) */
-                digits = tddq_pow10[8];
-                X++;
-            }
-            if (X <= 8) {
-                n = (unsigned long long)digits; /* 10^8 <= n < 10^9 */
-                d[0] = (char)('0' + n / tddq_pow10[8]);
-                hi = n % tddq_pow10[8] / 10000;
-                lo = n % 10000;
-                memcpy(d + 1, tddq_pairs + 2 * (hi / 100), 2);
-                memcpy(d + 3, tddq_pairs + 2 * (hi % 100), 2);
-                memcpy(d + 5, tddq_pairs + 2 * (lo / 100), 2);
-                memcpy(d + 7, tddq_pairs + 2 * (lo % 100), 2);
-                /* drop trailing zeros of the fraction, and a bare point */
-                keep = X >= 0 ? X + 1 : 0;
-                for (end = 9; end > keep && d[end - 1] == '0'; end--)
-                    ;
-                if (X >= 0) {
-                    memcpy(q, d, (size_t)keep);
-                    q += keep;
-                    if (end > keep)
-                        *q++ = '.';
-                } else {
-                    *q++ = '0';
+        prod = (tddq_u128)m * tddq_pow10[8 - X];
+        digits = prod >> s;
+        rem = prod - (digits << s);
+        half = (tddq_u128)1 << (s - 1);
+        if (rem > half || (rem == half && (digits & 1)))
+            digits++;
+        if (digits == tddq_pow10[9]) { /* 9.999999995e(X) carries to 1e(X+1) */
+            digits = tddq_pow10[8];
+            X++;
+        }
+        if (X <= 8) {
+            n = (unsigned long long)digits; /* 10^8 <= n < 10^9 */
+            d[0] = (char)('0' + n / tddq_pow10[8]);
+            hi = n % tddq_pow10[8] / 10000;
+            lo = n % 10000;
+            memcpy(d + 1, tddq_pairs + 2 * (hi / 100), 2);
+            memcpy(d + 3, tddq_pairs + 2 * (hi % 100), 2);
+            memcpy(d + 5, tddq_pairs + 2 * (lo / 100), 2);
+            memcpy(d + 7, tddq_pairs + 2 * (lo % 100), 2);
+            /* drop trailing zeros of the fraction, and a bare point */
+            keep = X >= 0 ? X + 1 : 0;
+            for (end = 9; end > keep && d[end - 1] == '0'; end--)
+                ;
+            if (X >= 0) {
+                memcpy(q, d, (size_t)keep);
+                q += keep;
+                if (end > keep)
                     *q++ = '.';
-                    for (i = -1; i > X; i--)
-                        *q++ = '0';
-                }
-                memcpy(q, d + keep, (size_t)(end - keep));
-                q += end - keep;
-                return (int)(q - p);
+            } else {
+                *q++ = '0';
+                *q++ = '.';
+                for (i = -1; i > X; i--)
+                    *q++ = '0';
             }
+            memcpy(q, d + keep, (size_t)(end - keep));
+            q += end - keep;
+            return (int)(q - p);
         }
     }
     if (isnan(x)) { /* without a sign, as Python writes it */
@@ -385,14 +385,9 @@ static int tddq_format_g9(char *p, double x)
     return snprintf(p, 17, "%.9g", x);
 }
 
-/* v in decimal; returns the length (at most 20). A count or server below 10
- * is one digit, written directly. */
+/* v in decimal; returns the length (at most 20) */
 static int tddq_format_ll(char *p, long long v)
 {
-    if (v >= 0 && v < 10) {
-        *p = (char)('0' + v);
-        return 1;
-    }
     if (v < 0) { /* 0 - v in unsigned arithmetic, so LLONG_MIN is safe */
         *p = '-';
         return 1 + tddq_format_u(p + 1, 0ULL - (unsigned long long)v);

@@ -317,13 +317,7 @@ def run(
     _draw_slot[:] = [(key, (short, long_))]
 
     n_int, t_w, t_end = out.acc.tolist()
-    n_short, n_long, k_s, k_l = out.cnt.tolist()
-    # each boundary takes in every arrival up to itself, so the window's
-    # arrivals are those after its opening boundary (per server: times
-    # n_servers, exactly), up to its closing one
-    opening = t_w * n_servers
-    n_arr = (n_short + n_long - int(np.searchsorted(short.arrivals, opening, "right"))
-             - int(np.searchsorted(long_.arrivals, opening, "right")))
+    n_short, n_long, k_s, k_l, n_arr = out.cnt.tolist()
     if trace_path:
         cls, _, duration, start, server = out.records
         kernel.write_trace(trace_path, short.arrivals[:n_short], long_.arrivals[:n_long],
@@ -471,9 +465,12 @@ def _take_draws(key: tuple):
 class _Schedule:
     """Output buffers of one scheduling pass; `_schedule.c` documents them.
 
-    Each is sized for the most the loop can write into it: a class's
-    sojourns are bounded by its draws and by the window, records by the
-    horizon. The two classes' sojourns are the two parts of one new block.
+    The loop keeps the measurement window's books once: `busy` per server,
+    `acc` the integral of N(t) and the window's two ends, and `cnt` each
+    class's arrivals taken in and windowed sojourns, then the window's
+    arrivals. Each is sized for the most the loop can write into it: a
+    class's sojourns are bounded by its draws and by the window, records by
+    the horizon. The two classes' sojourns are the two parts of one new block.
     A collecting pass carves its five record columns and the packets'
     departure column from another, 41 bytes per start with every column
     aligned. Each block goes back to the allocator whole, which hands it to
@@ -488,7 +485,7 @@ class _Schedule:
         sojourns = np.empty(n_s + n_l)
         self.soj_s, self.soj_l = sojourns[:n_s], sojourns[n_s:]
         self.acc = np.zeros(3)
-        self.cnt = np.zeros(4, dtype=np.int64)
+        self.cnt = np.zeros(5, dtype=np.int64)
         # per start: class (0 short, 1 long), arrival, duration, start, server
         self.records = self.departure = None
         if collect:
@@ -639,9 +636,8 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     soj_s: list[float] = []
     soj_l: list[float] = []
     records: list[tuple] = []
-    ns = nl = hs = hl = started = 0
+    ns = nl = hs = hl = started = opened = 0
     n_int = t_w = t = 0.0
-    warm = False
 
     while started < horizon:
         begun = started
@@ -672,18 +668,15 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
             else:
                 break
             if started == warmup:
-                t_w = t
-                warm = True
+                t_w, opened = t, ns + nl
                 for j2 in range(n_servers):
-                    over = free[j2] - t_w
-                    if over > 0:
-                        busy[j2] += over
-                        n_int += over
+                    if free[j2] > t_w:
+                        busy[j2] += free[j2] - t_w
             dep = t + dur
             free[j] = dep
-            if warm:
+            if started >= warmup:
                 busy[j] += dur
-                n_int += dep - (arr if arr > t_w else t_w)
+                n_int += t - (arr if arr > t_w else t_w)
                 (soj_l if cls else soj_s).append(dep - arr)
             if collect:
                 records.append((cls, arr, dur, t, j))
@@ -696,10 +689,9 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
             return _BREACH
 
     for j in range(n_servers):
-        over = free[j] - t
-        if over > 0:
-            busy[j] -= over
-            n_int -= over
+        if free[j] > t:
+            busy[j] -= free[j] - t
+        n_int += busy[j]
     for i in range(hs, ns):
         n_int += t - (arr_s[i] if arr_s[i] > t_w else t_w)
     for i in range(hl, nl):
@@ -709,7 +701,7 @@ def _schedule_py(n_servers: int, aligned: bool, horizon: int, warmup: int,
     out.soj_s[: len(soj_s)] = soj_s
     out.soj_l[: len(soj_l)] = soj_l
     out.acc[:] = (n_int, t_w, t)
-    out.cnt[:] = (ns, nl, len(soj_s), len(soj_l))
+    out.cnt[:] = (ns, nl, len(soj_s), len(soj_l), ns + nl - opened)
     if collect:
         for column, values in zip(out.records, zip(*records)):
             column[:] = values

@@ -39,6 +39,7 @@ from tddq import (
     Topology,
     TrafficConfig,
     default_scenario,
+    long_service_moments,
     mg1_priority_sojourn_slotted,
     run,
     sweep,
@@ -51,6 +52,42 @@ MM1_CONFIG = TrafficConfig(0.5, 0.0, 1.0, ChannelModel(1.0), SINGLE_RATE)
 
 def fig3_config(rho):
     return default_scenario().config_for(rho)
+
+
+T975_30 = 2.0422724563012378  # Student's t 0.975 quantile, N_BATCHES - 2 dof; tested
+
+
+def short_mean_cv(summary, config, warmup):
+    """A coupled run's short mean and its 95% half width, corrected by a
+    control variate of known mean (Lavenberg and Welch 1981); times in
+    slots, as fig3's slot is 1.
+
+    X is each window short's residual slots at its boundary b = ceil(arrival):
+    the departure of the last start strictly before b, less b, floored at 0.
+    Its mean is lambda_L * slot * E[D(D-1)] / 2, D the long TTI in slots. On
+    N_BATCHES in-order batch means of the shorts' sojourns Y and of X, beta
+    is the slope of Y on X; the estimate is the summary's own short mean less
+    beta * (mean X - its mean), so that a fault in the sojourns alone shows.
+    """
+    p = summary.packets
+    shorts = np.flatnonzero(p.class_code[warmup:] == 0) + warmup
+    arrival = p.arrival_time[shorts]
+    boundary = np.ceil(arrival)
+    before = np.searchsorted(p.start_time, boundary, "left")
+    last = np.concatenate(([0.0], p.departure_time))[before]
+    x = np.maximum(last - boundary, 0.0)
+    y = p.departure_time[shorts] - arrival
+    m1, m2 = long_service_moments(config.channel, config.table)
+    mu_x = config.lambda_long * config.slot * (m2 / config.slot**2 - m1 / config.slot) / 2
+    per = len(y) // sim.N_BATCHES
+    xb, yb = (v[:sim.N_BATCHES * per].reshape(sim.N_BATCHES, per).mean(axis=1) for v in (x, y))
+    dx, dy = xb - xb.mean(), yb - yb.mean()
+    sxx = float(dx @ dx)
+    beta = float(dx @ dy) / sxx
+    s_e = math.sqrt(float(np.sum((dy - beta * dx) ** 2)) / (sim.N_BATCHES - 2))
+    offset = float(xb.mean()) - mu_x
+    half_width = T975_30 * s_e * math.sqrt(1 / sim.N_BATCHES + offset**2 / sxx)
+    return summary.short.mean - beta * offset, half_width
 
 
 class TestClosedFormOracles:
@@ -68,6 +105,18 @@ class TestClosedFormOracles:
         # oracle: slotted single-class unit service = P-K + half slot = 2.0
         s = run(MM1_CONFIG, Topology.COUPLED, 220_000, 20_000, seed=17)
         assert s.short.mean == pytest.approx(2.0, rel=0.02)
+
+    # within 3 half widths of the exact form: a band of about +-0.01-0.02
+    # slots, where criterion 2's 5% band is +-0.15-0.32
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7, 0.9])
+    def test_coupled_short_mean_within_its_control_variate_band(self, rho):
+        config = fig3_config(rho)
+        s = run(config, Topology.COUPLED, 200_000, 20_000, seed=1, keep_packets=True)
+        estimate, half_width = short_mean_cv(s, config, 20_000)
+        exact = mg1_priority_sojourn_slotted(config).mean_short
+        assert abs(estimate - exact) <= 3 * half_width, (estimate, exact, half_width)
+        # short sojourns that read 0.03 slot long fail it
+        assert abs(estimate + 0.03 - exact) > 3 * half_width, (estimate, exact, half_width)
 
     def test_two_class_slotted_matches_boundary_exact_form(self):
         config = fig3_config(0.5)
@@ -336,7 +385,39 @@ def class_arrival_z(packets, config, n_servers, warmup):
     return z
 
 
+def window_books(summary, n_servers, warmup):
+    """The integral of N(t) over a run's window, from the start of record
+    `warmup` to the last start, and the window's arrivals, both from its
+    records and the draws it left in `sim._draw_slot`; times in slots, as
+    fig3's slot is 1. A started packet counts for its stay inside the window;
+    an arrival taken in by the last start but not started, from its arrival
+    or the window's opening to the close."""
+    p = summary.packets
+    t_w, t_end = p.start_time[warmup], p.start_time[-1]
+    [(_, draws)] = sim._draw_slot
+    stays = [np.maximum(np.minimum(p.departure_time, t_end)
+                        - np.maximum(p.arrival_time, t_w), 0.0)]
+    arrivals = 0
+    for code, d in enumerate(draws):
+        drawn = d.arrivals[:max(d.limit, 0)] * (1.0 / n_servers)
+        taken = drawn[drawn <= t_end]
+        waiting = taken[np.count_nonzero(p.class_code == code):]
+        stays.append(t_end - np.maximum(waiting, t_w))
+        arrivals += np.count_nonzero(taken > t_w)
+    return math.fsum(np.concatenate(stays).tolist()), arrivals
+
+
 class TestConservation:
+    # one edge credit of the window is ~1e-5 of the integral, which Little's
+    # tolerance of 0.01 never sees
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+    @pytest.mark.parametrize("rho", [0.3, 0.7, 0.9])
+    def test_occupancy_and_arrivals_match_the_records(self, rho, topology):
+        s = run(fig3_config(rho), topology, 200_000, seed=1, keep_packets=True)
+        integral, arrivals = window_books(s, topology.n_servers, 20_000)
+        assert s.avg_in_system * s.measurement_time == pytest.approx(integral, rel=1e-9)
+        assert s.arrival_rate_estimate * s.measurement_time == arrivals
+
     # 400 k departures: at 200 k a long class 1% sparse read z = -2.88 (seed 2)
     @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
     def test_each_class_arrives_at_its_rate(self, topology):
@@ -401,11 +482,12 @@ def student_t_cdf(q, dof, n=4000):
 
 
 def test_ci_quantile_is_student_t_for_the_batch_count():
-    """The batch-means CI multiplier is t(0.975) at N_BATCHES - 1 dof, to 1e-12."""
-    dof, q = sim.N_BATCHES - 1, sim._T975_31
-    newton_step = (student_t_cdf(q, dof) - 0.975) / student_t_pdf(q, dof)
-    assert abs(newton_step) <= 1e-12
-    assert abs(student_t_cdf(q, dof - 1) - 0.975) / student_t_pdf(q, dof) > 1e-6
+    """The batch-means CI multiplier is t(0.975) at N_BATCHES - 1 dof, and
+    `short_mean_cv`'s at N_BATCHES - 2, each to 1e-12."""
+    for dof, q in ((sim.N_BATCHES - 1, sim._T975_31), (sim.N_BATCHES - 2, T975_30)):
+        newton_step = (student_t_cdf(q, dof) - 0.975) / student_t_pdf(q, dof)
+        assert abs(newton_step) <= 1e-12, dof
+        assert abs(student_t_cdf(q, dof - 1) - 0.975) / student_t_pdf(q, dof) > 1e-6, dof
 
 
 class TestDeterminism:
@@ -564,6 +646,11 @@ def g9_edges():
 
 
 NO_RECORDS = (np.empty(0, np.uint8), np.empty(0), np.empty(0), np.empty(0, np.int64))
+
+
+def double_of_bits(bits):
+    """The double whose 64 bits are the integer `bits`."""
+    return float(np.array(bits, np.uint64).view(np.float64))
 
 
 @st.composite
@@ -791,6 +878,22 @@ class TestTrace:
         want = ["%.9g" % x for x in times.tolist()]
         assert len(got) == n
         assert [(x, g, w) for x, g, w in zip(times.tolist(), got, want) if g != w][:10] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False),
+                              st.integers(0, 2**64 - 1).map(double_of_bits)
+                              .filter(lambda x: not math.isnan(x))), max_size=40))
+    def test_compiled_time_format_is_percent_g_on_any_bits(self, tmp_path_factory, values):
+        # any double but NaN: signed zeros, subnormals and infinities too,
+        # sorted as one server's short arrivals, in one chunk and in chunks of 7
+        times = np.array(sorted(values), dtype=float)
+        want = ["%.9g" % x for x in times.tolist()]
+        path = tmp_path_factory.mktemp("g9") / "times.csv"
+        for chunk in (sim._CHUNK, 7):
+            with mock.patch.object(sim, "_CHUNK", chunk):
+                trace_writer("c")(str(path), times, np.empty(0), NO_RECORDS, 1, 1.0)
+            rows = path.read_bytes().decode().split("\r\n")[1:-1]
+            assert [row.partition(",")[0] for row in rows] == want, chunk
 
     @pytest.mark.parametrize("bad", ["class", "server", "length", "short-arrivals-order",
                                      "long-arrivals-order", "starts-order",
@@ -1130,7 +1233,7 @@ class TestCompiledKernel:
             ([1.0, 1.0, 1.0], [0, 1, 0])
         assert [column.tolist() for column in out.records] == [
             [0, 0, 0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0], start, server]
-        assert out.cnt.tolist() == [3, 0, 3, 0]
+        assert out.cnt.tolist() == [3, 0, 3, 0, 0]
 
 
 OTHER = {Topology.COUPLED: Topology.DECOUPLED, Topology.DECOUPLED: Topology.COUPLED}
